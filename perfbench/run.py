@@ -5,9 +5,9 @@
 Run from the repository root. One client process starts a local Ray
 session with one CPU (``NUM_CPUS``), builds the workload's inputs from
 ``--seed``, runs one untimed warm-up operation, then runs operations
-back to back for about ``--seconds`` and checks every output. It prints each metric by name
-with its unit, then, as the last line, one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``.
+back to back for about ``--seconds`` and checks every output. It prints
+each metric by name with its unit, then, as the last line, one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 ``--trace 0`` reports the end-to-end metrics. ``--trace 1`` runs one
 untimed operation, the same operation with spans around the calls into
@@ -15,15 +15,14 @@ each layer, and the layer probes of ``workloads.py``; it reports the
 per-layer metrics and ``tracing_overhead_s`` and writes the spans to
 ``.bench_build/perfbench/results``.
 
-An operation costs about 5 s on one core, nearly all of it fixed
-per-job cost of Ray Data, so a run measures a handful; ``latency_tail_s``
-is the highest percentile with ten samples beyond it when a run has at
-least 21 operations, and the slowest operation otherwise (the line
-printed for it says which).
+An operation costs 10-20 s on one core, so a run measures a few;
+``latency_tail_s`` is the highest percentile with ten samples beyond it
+when a run has at least 21 operations, and the slowest operation
+otherwise (the line printed for it says which).
 
-Inputs, results and Ray's session directory go under ``.bench_build``;
-the default model is the one the package ships, and is trained under
-``.bench_build/perfbench`` once if it is missing.
+Inputs, results and Ray's session directory go under ``.bench_build``.
+The model is the default one the package ships; without it the run
+stops with exit code 2.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import argparse
 import json
 import logging
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -65,29 +63,6 @@ def parse_args(argv):
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return p.parse_args(argv)
-
-
-def ensure_model() -> tuple[str, float]:
-    """The shipped default model's directory, or one trained once under
-    the build directory when the checkout has none. Returns (dir,
-    seconds spent training)."""
-    from deezymatch_ray.pipelines import linkage
-
-    shipped = os.path.abspath(linkage.DEFAULT_MODEL_DIR)
-    if (os.path.commonpath([shipped, ROOT]) == ROOT
-            and os.path.isfile(os.path.join(shipped, "model.npz"))):
-        return shipped, 0.0
-    target = os.path.join(BUILD, "model")
-    if os.path.isfile(os.path.join(target, "model.npz")):
-        return target, 0.0
-    t = time.perf_counter()
-    tmp = f"{target}.tmp{os.getpid()}"
-    linkage.train_model(tmp)
-    if os.path.isdir(target):  # another run finished training first
-        shutil.rmtree(tmp)
-    else:
-        os.rename(tmp, target)
-    return target, time.perf_counter() - t
 
 
 def start_ray(num_cpus: int) -> None:
@@ -201,13 +176,19 @@ def main(argv=None) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
     os.makedirs(BUILD, exist_ok=True)
-    model_dir, build_s = ensure_model()
+    from deezymatch_ray.pipelines.linkage import DEFAULT_MODEL_DIR, load_model_artifacts
+
+    model_dir = os.path.abspath(DEFAULT_MODEL_DIR)
+    if (os.path.commonpath([model_dir, ROOT]) != ROOT
+            or not os.path.isfile(os.path.join(model_dir, "model.npz"))):
+        print("perfbench: the checkout ships no default model "
+              "(deezymatch_ray/artifacts/default_model)", file=sys.stderr)
+        return 2
 
     import ray
 
     from tracing import ProcSampler, Tracer
     from workloads import WORKLOADS
-    from deezymatch_ray.pipelines.linkage import load_model_artifacts
 
     nproc = subprocess.run(["nproc"], capture_output=True, text=True).stdout.strip()
     cpus_available = len(os.sched_getaffinity(0))
@@ -237,8 +218,9 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             while True:
                 ops.append(runner.run(wl.op))
-                # stop when another operation like the last would overrun
-                if time.perf_counter() - t0 + ops[-1]["s"] > args.seconds:
+                # stop when another operation like the last would end
+                # more than half an operation past the window
+                if time.perf_counter() - t0 + ops[-1]["s"] / 2 > args.seconds:
                     break
             metrics = end_to_end(runner, ops, setup_s, sampler.peak_rss_bytes)
     finally:
@@ -254,7 +236,7 @@ def main(argv=None) -> int:
         "trace": args.trace, "nproc": nproc, "cpus_available": cpus_available,
         "num_cpus": NUM_CPUS,
         "sizes": inputs["sizes"], "model_dir": os.path.relpath(model_dir, ROOT),
-        "build_s": build_s, "ray_start_s": ray_start_s, "warmup_s": warm["s"],
+        "ray_start_s": ray_start_s, "warmup_s": warm["s"],
         "attempted": runner.attempted, "failed": failed,
         "fail_ratio": failed / runner.attempted, "failures": runner.failures,
         "operations": ops, "metrics": metrics, "claim": None,
@@ -270,7 +252,7 @@ def main(argv=None) -> int:
 
     print(f"workload={args.workload} seed={args.seed} nproc={nproc} "
           f"cpus_available={cpus_available} num_cpus={NUM_CPUS} "
-          f"sizes={json.dumps(inputs['sizes'])} build_s={build_s:.1f}")
+          f"sizes={json.dumps(inputs['sizes'])}")
     for name, value in metrics.items():
         print(f"{name} {value} {units[name]}")
     if ops:

@@ -1,19 +1,20 @@
 """The benchmark's workloads: seeded inputs, one operation, its check,
 and the traced variant that reports per-layer numbers.
 
-``link`` runs the record-linkage flagship over a synthetic spans corpus;
-``near_dup`` runs near-duplicate clustering over a synthetic long-text
-corpus. The traced run of each also probes the layers of a workload the
-one-core time budget leaves out of the timed set: ranking calls ride
-with ``link`` (they share ``stages.ranking``) and pair scoring through
-``api.inference`` rides with ``near_dup``.
+``link`` runs the record-linkage flagship over a synthetic spans corpus
+with the library's shipped configuration; ``near_dup`` runs
+near-duplicate clustering over a seeded row sample of the repository's
+test-data ``documents`` table. The traced run of each also probes the
+layers of a workload the one-core time budget leaves out of the timed
+set: ranking calls ride with ``link`` (they share ``stages.ranking``)
+and pair scoring through ``api.inference`` rides with ``near_dup``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -25,6 +26,7 @@ import ray.data
 from deezymatch_ray import api
 from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.data.synth import make_documents, make_labeled_pairs, make_query_candidates
+from deezymatch_ray.functions.dedup import word_shingles
 from deezymatch_ray.functions.metrics import classification_metrics, confusion_counts
 from deezymatch_ray.functions.text import encode_strings, normalize_string
 from deezymatch_ray.model.chargru import CharGRU, load_weights
@@ -36,29 +38,25 @@ from deezymatch_ray.stages import dedup, ranking, scoring
 
 from tracing import Tracer, duration, execution_records
 
+# a link job with the shipped 64-partition shuffles takes ~17 s on one
+# core whatever the corpus size, most of it shuffle task overhead
 LINK_DOCS = 1000
-NEAR_DUP_DOCS = 300
+NEAR_DUP_DOCS = 1000
 RANK_QUERIES = 20
 RANK_CANDIDATES = 1000
 SCORE_PAIRS = 1000
 
-# hash-bucket count of the linkage shuffles. The library's default (64)
-# is sized for a 32-CPU cluster; on one core its ~350 tasks per link job
-# take ~16 s of a ~20 s job and hide every other stage. At 8 a job takes
-# ~4.5 s and each shuffle still runs 8 map and 8 reduce tasks, so a
-# change in the number of shuffles still shows.
-LINK_SHUFFLE_PARTITIONS = 8
-LINK_CFG = DEFAULT_CONFIG.replace(execution=dataclasses.replace(
-    DEFAULT_CONFIG.execution, shuffle_partitions=LINK_SHUFFLE_PARTITIONS))
-
-# shared vocabulary of the synthetic long-text corpus: a small one, so
-# that unrelated documents still share words but almost never a 3-word
-# shingle
-_WORDS = (
-    "a agg batch big column customer data fast filter group hash join key "
-    "line merge order part query row scan slow small sort spark stream "
-    "table the value vector window"
-).split()
+# 2,500 rows of the doc_id and text columns of the sf0.1 ``documents``
+# test-data table (TESTDATA.md; 5,000 rows), drawn without replacement
+# by numpy.random.default_rng(0).choice and kept in table order. Its
+# near-duplicates are the table's own: every pair of rows at word
+# 3-shingle Jaccard >= 0.5 in the full table lies at >= 0.8.
+DOCUMENTS_SAMPLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "data", "documents_sample.parquet")
+# cluster_near_dup_documents' shingle size and accept threshold, passed
+# explicitly so the exact recount in ``near_dup_truth`` uses the same
+SHINGLE_N = 3
+JACCARD_THRESHOLD = 0.5
 
 
 def consume(ds: ray.data.Dataset) -> pa.Table:
@@ -95,30 +93,34 @@ def check_partition(out: pa.Table, ids: list, truth: dict, reference: dict | Non
     return True, f1, "", assign
 
 
-def make_near_dup_docs(n_docs: int, seed: int) -> tuple[pa.Table, list[int]]:
-    """Seeded long-text corpus with planted near-duplicates: about a
-    third of the documents copy an earlier one with one word replaced
-    per 40 (word 3-shingle Jaccard ≥ ~0.8 to their source). Returns the
-    (doc_id, text) table and each document's planted group."""
-    rng = np.random.default_rng((seed, 9))
-    texts: list[list[str]] = []
-    group: list[int] = []
-    for i in range(n_docs):
-        if i and rng.random() < 0.35:
-            src = int(rng.integers(0, i))
-            words = list(texts[src])
-            for _ in range(max(1, len(words) // 40)):
-                words[int(rng.integers(0, len(words)))] = _WORDS[int(rng.integers(0, len(_WORDS)))]
-            group.append(group[src])
-        else:
-            words = [_WORDS[j] for j in rng.integers(0, len(_WORDS), int(rng.integers(30, 90)))]
-            group.append(i)
-        texts.append(words)
-    table = pa.table({
-        "doc_id": pa.array(np.arange(n_docs), type=pa.int64()),
-        "text": pa.array([" ".join(w) for w in texts]),
-    })
-    return table, group
+def near_dup_truth(texts: list[str], n: int, threshold: float) -> list[int]:
+    """Exact near-duplicate partition: documents joined by word n-gram
+    shingle Jaccard >= ``threshold`` (every pair that shares a shingle
+    is compared), closed transitively. One label per document."""
+    sh = [set(word_shingles(t, n)) for t in texts]
+    postings = defaultdict(list)
+    for i, s in enumerate(sh):
+        for x in s:
+            postings[x].append(i)
+    parent = list(range(len(texts)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    compared = set()
+    for ids in postings.values():
+        for pair in itertools.combinations(ids, 2):
+            if pair in compared:
+                continue
+            compared.add(pair)
+            a, b = pair
+            inter = len(sh[a] & sh[b])
+            if inter / (len(sh[a]) + len(sh[b]) - inter) >= threshold:
+                parent[root(a)] = root(b)
+    return [root(i) for i in range(len(texts))]
 
 
 def _model_parts(model_dir: str):
@@ -146,9 +148,10 @@ class _Workload:
 
 
 class Link(_Workload):
-    """``link_documents`` over a seeded ``make_documents`` spans corpus,
-    checked against the corpus's ground-truth entities (the documented
-    pair F1 of the shipped model on this corpus is about 0.6)."""
+    """``link_documents`` with the shipped configuration over a seeded
+    ``make_documents`` spans corpus, checked against the corpus's
+    ground-truth entities (the documented pair F1 of the shipped model
+    on this corpus is about 0.6)."""
 
     name = "link"
     min_f1 = 0.5
@@ -159,12 +162,13 @@ class Link(_Workload):
         return {"path": self._write(docs, seed, "documents_spans.parquet"),
                 "ids": ids, "items": len(ids),
                 "truth": dict(zip(ids, truth["entity_id"].to_pylist())),
-                "sizes": {"docs": len(ids), "shuffle_partitions": LINK_SHUFFLE_PARTITIONS,
+                "sizes": {"docs": len(ids),
+                          "shuffle_partitions": DEFAULT_CONFIG.execution.shuffle_partitions,
                           "rank_queries": RANK_QUERIES, "rank_candidates": RANK_CANDIDATES}}
 
     def op(self, inputs: dict) -> pa.Table:
         docs = spans.read_documents(inputs["path"])
-        return consume(linkage.link_documents(docs, cfg=LINK_CFG, model_dir=self.model_dir))
+        return consume(linkage.link_documents(docs, model_dir=self.model_dir))
 
     def traced_op(self, tr: Tracer, inputs: dict) -> pa.Table:
         tr.wrap(spans, "read_documents", "sources.spans.read_documents")
@@ -259,22 +263,31 @@ class Link(_Workload):
 
 
 class NearDup(_Workload):
-    """``cluster_near_dup_documents`` over a seeded long-text corpus with
-    planted near-duplicates, checked against the planted groups."""
+    """``cluster_near_dup_documents`` over a seeded row sample of the
+    committed ``documents`` sample, checked against the exact Jaccard
+    partition of the same rows."""
 
     name = "near_dup"
-    min_f1 = 0.95
+    # 16 bands of 4 MinHash rows miss a pair at Jaccard >= 0.8 with
+    # probability < 3e-4, so the partition must equal the exact one
+    min_f1 = 1.0
 
     def make_inputs(self, seed: int) -> dict:
-        table, group = make_near_dup_docs(NEAR_DUP_DOCS, seed)
+        sample = pq.read_table(DOCUMENTS_SAMPLE)
+        rows = np.sort(np.random.default_rng((seed, 9)).choice(
+            sample.num_rows, NEAR_DUP_DOCS, replace=False))
+        table = sample.take(rows)
         ids = table["doc_id"].to_pylist()
+        group = near_dup_truth(table["text"].to_pylist(), SHINGLE_N, JACCARD_THRESHOLD)
         return {"path": self._write(table, seed, "documents.parquet"),
                 "ids": ids, "items": len(ids), "truth": dict(zip(ids, group)),
-                "sizes": {"docs": len(ids), "score_pairs": SCORE_PAIRS}}
+                "sizes": {"docs": len(ids), "sample_rows": sample.num_rows,
+                          "score_pairs": SCORE_PAIRS}}
 
     def op(self, inputs: dict) -> pa.Table:
         docs = ray.data.read_parquet(inputs["path"])
-        return consume(linkage.cluster_near_dup_documents(docs))
+        return consume(linkage.cluster_near_dup_documents(
+            docs, shingle_n=SHINGLE_N, jaccard_threshold=JACCARD_THRESHOLD))
 
     def traced_op(self, tr: Tracer, inputs: dict) -> pa.Table:
         tr.wrap(linkage, "cluster_near_dup_documents", "pipelines.linkage.cluster_near_dup_documents")
@@ -311,17 +324,20 @@ class NearDup(_Workload):
         }
 
     def probe(self, tr: Tracer, seed: int) -> tuple[dict, bool, str]:
-        """``api.inference(mode="test")`` plus a count() on seeded
-        labeled pairs, its Ray Data executions counted; one bare
-        ``map_batches(PairScorer)`` pass over the same pairs; the model
-        kernel and string encoding in-process; ``confusion_counts``."""
+        """``api.inference(mode="test")`` on seeded labeled pairs and one
+        read of its result, its Ray Data executions counted and its
+        metrics recounted from the rows it returned; ``confusion_counts``
+        over those rows; one bare ``map_batches(PairScorer)`` pass over
+        the same pairs; the model kernel and string encoding in-process."""
         tr.op_id = "score"
         pairs = make_labeled_pairs(SCORE_PAIRS, seed=seed)
         pairs_ds = ray.data.from_arrow(pairs)
         before = execution_records()
         with tr.span("api.inference") as call:
             scored, metrics = api.inference(self.model_dir, pairs_ds, mode="test")
-            call["ray_data.rows_out"] = scored.count()
+            # the caller's one read of the result
+            rows = consume(scored)
+            call["ray_data.rows_out"] = rows.num_rows
         after = execution_records()
         if before is None or after is None:
             tr.stats_fallback = True
@@ -330,10 +346,19 @@ class NearDup(_Workload):
             executions = sum(1 for tag, ops in after.items()
                              if tag not in before and any("PairScorer" in o for o in ops))
 
-        # the scorer stage exactly as api.inference configures it, once
+        label = np.asarray(rows["label"].to_pylist(), dtype=bool)
+        pred = np.asarray(pc.fill_null(rows["pred"], False).to_pylist(), dtype=bool)
+        recount = {"tp": int((label & pred).sum()), "fp": int((~label & pred).sum()),
+                   "tn": int((~label & ~pred).sum()), "fn": int((label & ~pred).sum())}
+        with tr.span("functions.metrics.confusion_counts") as cc:
+            counted = confusion_counts(ray.data.from_arrow(rows.select(["label", "pred"])))
+        ok = (rows.num_rows == pairs.num_rows and counted == recount
+              and classification_metrics(recount) == metrics)
+
+        # one bare scorer pass over the same pairs, for the stage's own time
         weights_ref, vocab_ref, meta, mcfg = linkage.load_model_artifacts(self.model_dir)
         with tr.span("stages.scoring.single_pass") as single:
-            rows = consume(tr.record_output(single, pairs_ds.map_batches(
+            consume(tr.record_output(single, pairs_ds.map_batches(
                 scoring.PairScorer,
                 fn_constructor_kwargs=dict(
                     weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
@@ -343,15 +368,6 @@ class NearDup(_Workload):
                 batch_size=mcfg.execution.score_batch_size,
                 concurrency=mcfg.execution.score_concurrency,
             )))
-        label = np.asarray(rows["label"].to_pylist(), dtype=bool)
-        pred = pc.fill_null(pc.greater_equal(rows["pred_score"], 0.5), False)
-        pred = np.asarray(pred.to_pylist(), dtype=bool)
-        recount = {"tp": int((label & pred).sum()), "fp": int((~label & pred).sum()),
-                   "tn": int((~label & ~pred).sum()), "fn": int((label & ~pred).sum())}
-        with tr.span("functions.metrics.confusion_counts") as cc:
-            counted = confusion_counts(ray.data.from_arrow(
-                pa.table({"label": pa.array(label), "pred": pa.array(pred)})))
-        ok = classification_metrics(recount) == metrics and counted == recount
 
         model, tok2index = _model_parts(self.model_dir)
         tok = mcfg.tokenization
@@ -368,7 +384,7 @@ class NearDup(_Workload):
             "api.inference.call_s": duration(call),
             "api.inference.macro_f1": metrics["macro_f1"],
             "stages.scoring.single_pass_s": duration(single),
-            "model.chargru.match_probability_pairs_per_s": len(label) / duration(kernel),
+            "model.chargru.match_probability_pairs_per_s": pairs.num_rows / duration(kernel),
             "functions.text.encode_strings_s": duration(encode),
             "functions.metrics.confusion_counts_s": duration(cc),
         }
