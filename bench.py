@@ -5,7 +5,7 @@ Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 num_cpus=$RAY_GRAFT_CPUS)`` (default 32).
 
 Headline metric: scored_pairs_per_sec through the siamese PairScorer
-actor pool (the reference's unit of work — BASELINE.md reports
+task pool (the reference's unit of work — BASELINE.md reports
 ~1,160–2,650 pairs/s for its GPU batch-64 loop).
 
 ``--scaling``: runs the pair-scoring pipeline in FRESH processes at
@@ -72,7 +72,7 @@ def _spans_parquet(n: int) -> str:
 
 
 def bench_pair_scoring() -> dict:
-    """Headline: labeled pairs through the PairScorer actor pool
+    """Headline: labeled pairs through the PairScorer task pool
     (model p1 + Levenshtein + Jaro-Winkler per pair)."""
     import ray.data
 
@@ -80,12 +80,11 @@ def bench_pair_scoring() -> dict:
         get_or_train_default_model,
         load_model_artifacts,
     )
-    from deezymatch_ray.stages.scoring import PairScorer
+    from deezymatch_ray.stages.scoring import CachedStage, PairScorer
 
     weights_ref, vocab_ref, meta, cfg = load_model_artifacts(
         get_or_train_default_model()
     )
-    from deezymatch_ray.stages.scoring import CachedStage
 
     path = _pairs_parquet(PAIRS_N)
     # tasks per CPU: a task's whole output block must finish before
@@ -102,34 +101,16 @@ def bench_pair_scoring() -> dict:
     # pipeline start (~25 s at 32 CPUs), a fixed per-run cost a
     # long-lived cluster never pays per job, which understated on-box
     # scaling. Tasks run on Ray's pre-started warm workers.
-    # GRAFT_SCORER_POOL=actor switches to the actor-pool variant for
-    # A/B measurement (see BASELINE.md round 3).
     # emit=(): consumers of a labeled-pair scoring job read scores, not
     # the input strings back — dropping them halves the post-score
-    # block payload (r4 VERDICT #7). GRAFT_SCORER_EMIT=carry restores
-    # the pre-r5 carry-everything behavior for A/B.
-    emit = None if os.environ.get("GRAFT_SCORER_EMIT") == "carry" else ()
-    kwargs = dict(
-        weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-        s1_col="s1", s2_col="s2", with_classical=True, emit=emit,
+    # block payload (r4 VERDICT #7).
+    stage = CachedStage.of(
+        PairScorer, weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+        s1_col="s1", s2_col="s2", with_classical=True, emit=(),
         preprocessing=cfg.preprocessing, tokenization=cfg.tokenization,
     )
-    if os.environ.get("GRAFT_SCORER_POOL", "task") == "actor":
-        stage = PairScorer
-        scorer_kwargs = dict(
-            batch_format="pyarrow", batch_size=SCORE_BS,
-            fn_constructor_kwargs=kwargs, concurrency=(1, NUM_CPUS - 2),
-        )
-        warm_kwargs = dict(scorer_kwargs, batch_size=64)
-    else:
-        stage = CachedStage.of(PairScorer, **kwargs)
-        scorer_kwargs = dict(batch_format="pyarrow", batch_size=SCORE_BS)
-        # optional task-concurrency cap (GRAFT_SCORE_HEADROOM=k leaves k
-        # CPUs for driver/raylet — A/B surface for the scaling bench)
-        headroom = int(os.environ.get("GRAFT_SCORE_HEADROOM", "0"))
-        if headroom > 0 and NUM_CPUS - headroom >= 2:
-            scorer_kwargs["concurrency"] = NUM_CPUS - headroom
-        warm_kwargs = dict(batch_format="pyarrow", batch_size=64)
+    scorer_kwargs = dict(batch_format="pyarrow", batch_size=SCORE_BS)
+    warm_kwargs = dict(batch_format="pyarrow", batch_size=64)
     # warm-up: fork+import Ray's worker pool once on a tiny slice so the
     # timed window measures the pipeline, not interpreter startup. The
     # repartition defeats limit pushdown (1 block → 1 task → 1 warm

@@ -133,7 +133,6 @@ class ExecutionConfig:
     # while it waits for all actors to schedule; (1, N) starts work with
     # whatever fits and scales up to N as resources allow.
     score_concurrency: tuple[int, int] = (1, 8)
-    read_override_num_blocks: int | None = None
     # hash-bucket count for fine-keyed groupbys (block keys, query ids,
     # pair dedup): bounds map_groups invocations and sets shuffle width
     shuffle_partitions: int = 64

@@ -289,7 +289,7 @@ def cluster_near_dup_documents(
             t = batch.take(pa.array(keep, type=pa.int64()))
             return pa.table({"src": t["doc_a"], "dst": t["doc_b"]})
 
-        edges = cand.map_batches(verify_bc, batch_format="pyarrow").materialize()
+        edges = cand.map_batches(verify_bc, batch_format="pyarrow")
     else:
         # large candidate set: hash-join the (much smaller than text)
         # shingle-hash blobs back by id — the scale path
@@ -312,47 +312,54 @@ def cluster_near_dup_documents(
             t = batch.take(pa.array(keep, type=pa.int64()))
             return pa.table({"src": t["doc_a"], "dst": t["doc_b"]})
 
-        edges = j2.map_batches(verify, batch_format="pyarrow").materialize()
-    # gate on NODES too (round-3 VERDICT #5): a 10-billion-doc corpus
-    # with few duplicate edges must not take_all() every doc id onto
-    # the driver just because the edge set is tiny. Materializing the
-    # projected node ids makes the count metadata-free and is the SAME
-    # single execution either path pays anyway (driver take_all /
-    # distributed singles union) — without it the gate re-ran the
-    # caller's whole docs pipeline a second time.
-    nodes = docs.select_columns([id_col]).materialize()
-    n_edges = edges.count()
-    use_distributed = (
-        distributed_cc
-        if distributed_cc is not None
-        else max(n_edges, nodes.count()) > driver_edge_limit
+        edges = j2.map_batches(verify, batch_format="pyarrow")
+    return _cluster(edges, docs.select_columns([id_col]), id_col,
+                    distributed_cc, driver_edge_limit,
+                    DEFAULT_CONFIG.execution.cluster_max_rounds)
+
+
+def _cluster(
+    edges: ray.data.Dataset,
+    nodes: ray.data.Dataset,
+    id_col: str,
+    distributed: bool | None,
+    limit: int,
+    max_rounds: int,
+) -> ray.data.Dataset:
+    """The clustering tail of both flagships: accepted (src, dst) edges
+    + every node id (column ``id_col``) → (doc_id, cluster_id), keeping
+    the id type on both paths.
+
+    Driver union-find while max(edges, nodes) ≤ ``limit``, otherwise
+    (or when ``distributed`` forces it) distributed min-label
+    propagation. The gate counts NODES too (round-3 VERDICT #5): a
+    corpus with billions of docs and few duplicate edges must not
+    take_all() every doc id onto the driver. Both inputs materialize
+    once, so the counts are metadata-free and neither path re-runs the
+    caller's pipeline."""
+    # r5 interleaved A/B (BASELINE.md §Linkage-gate A/B): this node
+    # materialize against a lazy docs.count() gate differed by −5.3 to
+    # +4.6 s per pair while identical code swung 14.5→31.1 s — drift
+    nodes = nodes.materialize()
+    edges = edges.materialize()
+    if distributed is None:
+        distributed = max(edges.count(), nodes.count()) > limit
+    if distributed:
+        return connected_components_distributed(
+            edges, nodes=nodes.rename_columns({id_col: "doc_id"}),
+            max_rounds=max_rounds,
+        )
+    assign = connected_components_driver(
+        [(r["src"], r["dst"]) for r in edges.take_all()],
+        [r[id_col] for r in nodes.take_all()],
     )
-    if use_distributed:
-        str_edges = edges.map_batches(
-            lambda b: pa.table({"src": pc_cast_str(b["src"]), "dst": pc_cast_str(b["dst"])}),
-            batch_format="pyarrow",
-        )
-        str_nodes = nodes.map_batches(
-            lambda b: pa.table({"doc_id": pc_cast_str(b[id_col])}),
-            batch_format="pyarrow",
-        )
-        return connected_components_distributed(str_edges, nodes=str_nodes)
-    edge_list = [(r["src"], r["dst"]) for r in edges.take_all()]
-    node_list = [r[id_col] for r in nodes.take_all()]
-    assign = connected_components_driver(edge_list, node_list)
     items = sorted(assign.items())
-    return ray.data.from_arrow(
-        pa.table({
-            "doc_id": pa.array([k for k, _ in items]),
-            "cluster_id": pa.array([v for _, v in items]),
-        })
-    )
-
-
-def pc_cast_str(col):
-    import pyarrow.compute as _pc
-
-    return _pc.cast(col, pa.string())
+    sch = nodes.schema()
+    id_type = dict(zip(sch.names, sch.types))[id_col]
+    return ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([k for k, _ in items], type=id_type),
+        "cluster_id": pa.array([v for _, v in items], type=id_type),
+    }))
 
 
 def link_documents(
@@ -447,38 +454,8 @@ def link_documents(
         t = batch.filter(pc.fill_null(keep, False))
         return pa.table({"src": t["query_id"], "dst": t["candidate_id"]})
 
-    edges = scored.map_batches(to_edges, batch_format="pyarrow")
-    # materialize both: count() and take_all() would otherwise each
-    # re-execute the upstream chain (the whole embed+block+score chain
-    # for edges; the join-text map for nodes). The node materialization
-    # makes the r3-VERDICT-#5 node-count gate metadata-free and is the
-    # same single execution either CC path pays anyway.
-    # r5 interleaved A/B (5 clean pairs, fresh processes, BASELINE.md
-    # §Linkage-gate A/B) measured this materialize against the r3-style
-    # lazy docs.count() gate: within-pair deltas −0.0/+2.1/−5.3/+4.6/
-    # +1.1 s while identical code swung 14.5→31.1 s — the r4 recorded
-    # "regression" was VM drift, not the gate. Keeping the materialize:
-    # single execution, no re-run of the caller's pipeline.
-    nodes = jt.select_columns(["doc_id"]).materialize()
-    edges = edges.materialize()
-    n_edges = edges.count()
-    limit = cfg.execution.cluster_driver_edge_limit
-    use_distributed = (
-        distributed_cc
-        if distributed_cc is not None
-        else max(n_edges, nodes.count()) > limit
-    )
-    if use_distributed:
-        return connected_components_distributed(
-            edges, nodes=nodes, max_rounds=cfg.execution.cluster_max_rounds
-        )
-    edge_list = [(r["src"], r["dst"]) for r in edges.take_all()]
-    node_list = [r["doc_id"] for r in nodes.take_all()]
-    assign = connected_components_driver(edge_list, node_list)
-    items = sorted(assign.items())
-    return ray.data.from_arrow(
-        pa.table({
-            "doc_id": pa.array([k for k, _ in items], type=pa.string()),
-            "cluster_id": pa.array([v for _, v in items], type=pa.string()),
-        })
+    return _cluster(
+        scored.map_batches(to_edges, batch_format="pyarrow"),
+        jt.select_columns(["doc_id"]), "doc_id", distributed_cc,
+        cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
     )

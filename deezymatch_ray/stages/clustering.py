@@ -48,7 +48,7 @@ def connected_components_driver(edges: list[tuple[str, str]], nodes: list[str] |
         ra, rb = find(a), find(b)
         if ra == rb:
             return
-        # keep the lexicographically smaller root → min-member cluster id
+        # keep the smaller root (in the id type's order) → min-member cluster id
         if rb < ra:
             ra, rb = rb, ra
         parent[rb] = ra
@@ -163,8 +163,10 @@ def connected_components_distributed(
 ) -> ray.data.Dataset:
     """Min-label propagation until fixpoint → (doc_id, cluster_id).
 
-    edges: Dataset with string columns (src, dst). nodes (optional):
-    Dataset with column doc_id covering isolated documents.
+    edges: Dataset with id columns (src, dst) of one type, which the
+    output keeps (a label is the component's minimum id in that type's
+    order). nodes (optional): Dataset with column doc_id covering
+    isolated documents.
 
     Skew hardening (r4 VERDICT #2 — giant components): every exchange
     that concentrates on a hot key is bounded:
@@ -209,13 +211,9 @@ def connected_components_distributed(
     )
 
     def init_label(batch: pa.Table) -> pa.Table:
-        lab = pa.array(
-            np.minimum(
-                np.asarray(batch["node"].to_pylist(), dtype=object),
-                np.asarray(batch["min_nbr"].to_pylist(), dtype=object),
-            ),
-            type=pa.string(),
-        )
+        import pyarrow.compute as pc
+
+        lab = pc.min_element_wise(batch["node"], batch["min_nbr"])
         return pa.table({"node": batch["node"], "label": lab})
 
     labels = labels.map_batches(init_label, batch_format="pyarrow").materialize()
@@ -269,7 +267,7 @@ def connected_components_distributed(
             return pa.table({
                 "node": batch["nbr"],
                 "cand": batch["label"],
-                "old": pa.nulls(batch.num_rows, pa.string()),
+                "old": pa.nulls(batch.num_rows, batch["label"].type),
             })
 
         cands = joined.map_batches(msg, batch_format="pyarrow").union(

@@ -21,6 +21,11 @@ the engine's own scale surface):
   near-dup candidates from (r+1)-segment band blocking (Hamming ≤ r
   pairs must share one full segment — pigeonhole), verified by exact
   Hamming distance.
+- The three banded plans (both MinHash plans and SimHash near-dup)
+  share one pair-emission core, ``_banded_pairs``: exploded key rows
+  bucket on ``key mod shuffle_partitions`` and one Arrow UDF call per
+  bucket walks its key segments, applies the ``max_block`` skip and
+  runs the plan's vectorized verify kernel.
 - ``embedding_near_dup``: exact cosine over an embedding column against
   a broadcast matrix (valid while one side fits in the object store;
   the blocked/IVF variant is `ann.py`).
@@ -34,12 +39,15 @@ the engine's own scale surface):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Min
 
+from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.dedup import (
     band_keys_int,
     hamming64,
@@ -149,23 +157,33 @@ def _hot_member(h: np.ndarray, hot: np.ndarray) -> np.ndarray:
     return hot[idx] == h
 
 
-def _pair_index_chunks(m: int, target: int):
-    """Yield (a_idx, b_idx) covering all i<j pairs without ever
-    materializing the full triu index arrays (O(m²) int64 — ~800 MB
-    at a 10k block; per-chunk memory is O(target))."""
-    r0 = 0
-    while r0 < m - 1:
-        r1 = r0
-        total = 0
-        while r1 < m - 1 and total + (m - r1 - 1) <= max(target, m - r1 - 1):
-            total += m - r1 - 1
-            r1 += 1
-        rows = np.arange(r0, r1)
-        counts = m - rows - 1
-        a = np.repeat(rows, counts)
-        b = np.concatenate([np.arange(r + 1, m) for r in rows]) if len(rows) else np.array([], dtype=np.int64)
-        yield a, b
-        r0 = r1
+def _pair_index_chunks(left: np.ndarray, right: np.ndarray,
+                       target: int = 1 << 18):
+    """Yield (a_idx, b_idx) covering every left×right pair in slabs of
+    ~``target`` pairs, without ever materializing the full O(m²) index
+    arrays (~800 MB at a 10k block; per-chunk memory is O(target))."""
+    slab = max(1, target // max(len(right), 1))
+    for s0 in range(0, len(left) if len(right) else 0, slab):
+        a = np.repeat(left[s0 : s0 + slab], len(right))
+        yield a, np.tile(right, len(a) // len(right))
+
+
+def _self_pairs(seg: dict):
+    """Every i<j row pair of a banded segment, in bounded chunks;
+    duplicate input ids never self-pair."""
+    ids = seg["id"]
+    rows = np.arange(len(ids))
+    for a, b in _pair_index_chunks(rows, rows):
+        keep = (a < b) & (ids[a] != ids[b])
+        yield a[keep], b[keep]
+
+
+def _cross_pairs(seg: dict):
+    """Every NEW (side 1) × CORPUS (side 0) row pair of a banded
+    segment, in bounded chunks: new×new and corpus×corpus pairs are
+    never formed."""
+    return _pair_index_chunks(np.flatnonzero(seg["side"] == 1),
+                              np.flatnonzero(seg["side"] == 0))
 
 
 def _pack16(arr: np.ndarray) -> bytes:
@@ -475,35 +493,121 @@ def _band_group_stats(keyed: ray.data.Dataset, max_block: int,
     many groups exist and how many exceed ``max_block`` (and are
     therefore skipped by the verify stage). Diagnostic path — opt-in
     via ``stats_out`` because it consumes the keyed dataset once more."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(batch[key_col].to_numpy(), return_counts=True)
-        return pa.table({key_col: pa.array(u), "cnt": pa.array(c)})
+    from ray.data.aggregate import Count
 
     sizes = (
-        keyed.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col).aggregate(Sum("cnt", alias_name="cnt"))
+        keyed.select_columns([key_col]).groupby(key_col)
+        .aggregate(Count(alias_name="cnt")).materialize()
     )
-    stats_out["n_band_groups"] = int(sizes.count())
-    stats_out["oversized_band_groups"] = int(
-        sizes.filter(expr=f"cnt > {max_block}").count()
+    stats_out["n_band_groups"] = sizes.count()
+    stats_out["oversized_band_groups"] = sizes.filter(
+        expr=f"cnt > {max_block}"
+    ).count()
+
+
+def _np_rows(col: pa.ChunkedArray) -> np.ndarray:
+    """A column as NumPy rows; a fixed-size list becomes an [n, k]
+    matrix (``flatten`` honours slice offsets, ``.values`` would not)."""
+    arr = col.combine_chunks()
+    if pa.types.is_fixed_size_list(arr.type):
+        return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
+    return arr.to_numpy(zero_copy_only=False)
+
+
+def _banded_pairs(keyed: ray.data.Dataset, key_col: str, verify, empty,
+                  max_block: int, kind: str) -> ray.data.Dataset:
+    """The one pair-emission path of the banded plans (MinHash,
+    incremental MinHash, SimHash) over exploded (key_col, id, payload…)
+    rows.
+
+    Rows bucket on ``key mod P`` (P = ``shuffle_partitions``; the keys
+    are already 64-bit hashes, so a plain modulo spreads them) and ONE
+    pyarrow UDF call per bucket sorts by (key, id), splits the rows
+    into key segments and verifies each segment of 2..``max_block``
+    rows — not one pandas call per key. Segments past ``max_block``
+    are skipped with a worker-side warning.
+
+    ``verify(key, seg)`` gets the key as an unsigned int and the
+    segment's payload columns as id-sorted NumPy rows; it yields
+    (a, b, value) chunks, a/b being row positions in the segment.
+    ``empty(id_type)`` is the typed empty output: its three columns
+    name and type the emitted (id of a, id of b, value)."""
+    P = DEFAULT_CONFIG.execution.shuffle_partitions
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column("__bucket", pa.array(b[key_col].to_numpy() % P))
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key_col, "ascending"), ("id", "ascending")])
+        out = empty(t["id"].type)
+        keys = t[key_col].to_numpy()
+        cols = {c: _np_rows(t[c]) for c in t.column_names
+                if c not in (key_col, "__bucket")}
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        sizes = np.diff(np.append(starts, len(keys)))
+        parts = []
+        for s, m in zip(starts[sizes >= 2], sizes[sizes >= 2]):
+            if m > max_block:
+                _warn_skipped_group(kind, key_col, int(keys[s]), int(m),
+                                    max_block)
+                continue
+            seg = {c: v[s : s + m] for c, v in cols.items()}
+            parts += [(s + a, s + b, v)
+                      for a, b, v in verify(int(keys[s]) % (1 << 64), seg)]
+        if not parts:
+            return out
+        a, b, v = (np.concatenate(x) for x in zip(*parts))
+        return pa.table({
+            out.column_names[0]: t["id"].take(a),
+            out.column_names[1]: t["id"].take(b),
+            out.column_names[2]: pa.array(v, type=out.schema.field(2).type),
+        })
+
+    return (
+        keyed.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby("__bucket")
+        .map_groups(per_bucket, batch_format="pyarrow")
     )
+
+
+def _minhash_verify(rows_per_band: int, n_bands: int, threshold: float,
+                    pairs=_self_pairs):
+    """``_banded_pairs`` kernel of both MinHash plans over the segment
+    row pairs ``pairs(seg)`` yields: signature equality, band ownership
+    (the first fully-equal band owns the pair, so each pair is emitted
+    by exactly one band group) and the estimate threshold evaluate as
+    [pairs, k] matrix ops per chunk."""
+
+    def verify(key: int, seg: dict):
+        sigs = seg["sig"].view(np.uint64)
+        nb = sigs.shape[1] // rows_per_band
+        for a, b in pairs(seg):
+            eq = sigs[a] == sigs[b]  # [c, k]
+            est = eq.mean(axis=1)
+            full = eq[:, : nb * rows_per_band].reshape(
+                len(a), nb, rows_per_band).all(axis=2)
+            has = full.any(axis=1)  # false only on a band-digest collision
+            keep = has & (full.argmax(axis=1) == key % n_bands) & (est >= threshold)
+            yield a[keep], b[keep], [round(float(v), 6) for v in est[keep]]
+
+    return verify
 
 
 class _MinHashStage:
     """map_batches stage: (id, text) → (id, sig fixed_size_list<uint64
-    as int64-bitcast>, int64 band_key exploded rows). Runs as a stateless TASK
-    pool (an instance is passed, not the class): the only per-call state
-    (the k permutation params) costs microseconds to build, and a task
-    pool reuses already-warm workers instead of paying actor spin-up —
-    which dominated this stage's wall time on short runs."""
+    as int64-bitcast>, int64 band_key exploded rows), plus an int8
+    ``side`` column when given (the incremental plan's NEW = 1 / CORPUS
+    = 0 tag). Runs as a stateless TASK pool (an instance is passed, not
+    the class): the only per-call state (the k permutation params)
+    costs microseconds to build, and a task pool reuses already-warm
+    workers instead of paying actor spin-up — which dominated this
+    stage's wall time on short runs."""
 
     def __init__(self, text_col: str, id_col: str, n: int, k: int, n_bands: int,
-                 seed: int, hash_basis: str = "siphash"):
+                 seed: int, hash_basis: str = "siphash", side: int | None = None):
         self.text_col, self.id_col = text_col, id_col
         self.n, self.k, self.n_bands, self.seed = n, k, n_bands, seed
-        self.hash_basis = hash_basis
+        self.hash_basis, self.side = hash_basis, side
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col]
@@ -525,11 +629,14 @@ class _MinHashStage:
         # ~40% of this stage's profile)
         rep = np.repeat(np.arange(n), self.n_bands)
         sig_flat = np.repeat(sigs.view(np.int64), self.n_bands, axis=0).reshape(-1)
-        return pa.table({
+        out = {
             "band_key": pa.array(keys.reshape(-1)),
             "id": ids.take(pa.array(rep)),
             "sig": pa.FixedSizeListArray.from_arrays(pa.array(sig_flat), self.k),
-        })
+        }
+        if self.side is not None:
+            out["side"] = pa.array(np.full(len(rep), self.side, dtype=np.int8))
+        return pa.table(out)
 
 
 def minhash_lsh_near_dup(
@@ -565,49 +672,12 @@ def minhash_lsh_near_dup(
     )
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out)
-    rows_per_band = k // n_bands
-
-    def block(group: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized pair verification: signature equality, band
-        ownership (first fully-equal band owns the pair) and the
-        estimate threshold all evaluate as [pairs, k] matrix ops, with
-        pair indices GENERATED in bounded chunks so peak memory stays
-        ~tens of MB even at max_block."""
-        empty = pd.DataFrame({"doc_a": [], "doc_b": [], "est_jaccard": []})
-        m = len(group)
-        if m < 2:
-            return empty
-        if m > max_block:
-            _warn_skipped_group("minhash_lsh_near_dup", "band_key",
-                                int(group["band_key"].iloc[0]), m, max_block)
-            return empty
-        bidx = (int(group["band_key"].iloc[0]) & ((1 << 64) - 1)) % n_bands
-        order = np.argsort(group["id"].to_numpy(), kind="stable")
-        ids = group["id"].to_numpy()[order]
-        sigs = np.stack(group["sig"].to_numpy()[order]).view(np.uint64)
-        kk = sigs.shape[1]
-        nb = kk // rows_per_band
-        out_a, out_b, out_j = [], [], []
-        for a, b in _pair_index_chunks(m, 1 << 18):
-            eq = sigs[a] == sigs[b]  # [c, k]
-            est = eq.mean(axis=1)
-            full = eq[:, : nb * rows_per_band].reshape(len(a), nb, rows_per_band).all(axis=2)
-            has = full.any(axis=1)  # false only on a band-digest collision
-            first = full.argmax(axis=1)
-            keep = has & (first == bidx) & (est >= threshold) & (ids[a] != ids[b])
-            out_a.append(ids[a][keep])
-            out_b.append(ids[b][keep])
-            out_j.append(est[keep])
-        a = np.concatenate(out_a) if out_a else np.array([])
-        if len(a) == 0:
-            return empty
-        return pd.DataFrame({
-            "doc_a": a,
-            "doc_b": np.concatenate(out_b),
-            "est_jaccard": [round(float(v), 6) for v in np.concatenate(out_j)],
-        })
-
-    return keyed.groupby("band_key").map_groups(block, batch_format="pandas")
+    return _banded_pairs(
+        keyed, "band_key", _minhash_verify(k // n_bands, n_bands, threshold),
+        functools.partial(_empty_pair_table, "doc_a", "doc_b",
+                          val_name="est_jaccard"),
+        max_block, "minhash_lsh_near_dup",
+    )
 
 
 def exact_dedup_incremental(
@@ -692,78 +762,22 @@ def minhash_lsh_dedup_incremental(
     plan's (degenerate boilerplate bands); pass ``stats_out`` to get
     ``n_band_groups`` / ``oversized_band_groups`` so skips are never
     silent."""
-    stage = _MinHashStage(text_col=text_col, id_col=id_col, n=n, k=k,
-                          n_bands=n_bands, seed=seed, hash_basis=hash_basis)
-
-    def tagged(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            t = stage(batch)
-            return t.append_column(
-                "side", pa.array(np.full(len(t), side, dtype=np.int8))
-            )
-
-        return fn
-
-    keyed = new_ds.map_batches(tagged(1), batch_format="pyarrow").union(
-        corpus_ds.map_batches(tagged(0), batch_format="pyarrow")
+    stage = functools.partial(
+        _MinHashStage, text_col=text_col, id_col=id_col, n=n, k=k,
+        n_bands=n_bands, seed=seed, hash_basis=hash_basis,
+    )
+    keyed = new_ds.map_batches(stage(side=1), batch_format="pyarrow").union(
+        corpus_ds.map_batches(stage(side=0), batch_format="pyarrow")
     )
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out)
-    rows_per_band = k // n_bands
-
-    def block(group: pd.DataFrame) -> pd.DataFrame:
-        """Cross-side verification in bounded chunks: slabs of new rows
-        compare against the whole corpus side as a [c, m_corp, k]
-        equality tensor (≤ ~16 MB per slab at the default chunk size)."""
-        empty = pd.DataFrame({"new_id": [], "corpus_id": [], "est_jaccard": []})
-        m = len(group)
-        if m < 2:
-            return empty
-        if m > max_block:
-            _warn_skipped_group("minhash_dedup_incremental", "band_key",
-                                int(group["band_key"].iloc[0]), m, max_block)
-            return empty
-        bidx = (int(group["band_key"].iloc[0]) & ((1 << 64) - 1)) % n_bands
-        side = group["side"].to_numpy()
-        ids = group["id"].to_numpy()
-        sig_col = group["sig"].to_numpy()
-        new_rows = np.flatnonzero(side == 1)
-        corp_rows = np.flatnonzero(side == 0)
-        if new_rows.size == 0 or corp_rows.size == 0:
-            return empty
-        new_rows = new_rows[np.argsort(ids[new_rows], kind="stable")]
-        corp_rows = corp_rows[np.argsort(ids[corp_rows], kind="stable")]
-        sig_n = np.stack(sig_col[new_rows]).view(np.uint64)
-        sig_c = np.stack(sig_col[corp_rows]).view(np.uint64)
-        kk = sig_n.shape[1]
-        nb = kk // rows_per_band
-        m_c = sig_c.shape[0]
-        slab = max(1, (1 << 18) // m_c)
-        out_n, out_c, out_j = [], [], []
-        for s0 in range(0, sig_n.shape[0], slab):
-            sn = sig_n[s0 : s0 + slab]
-            eq = sn[:, None, :] == sig_c[None, :, :]  # [c, m_c, k]
-            est = eq.mean(axis=2)
-            full = eq[:, :, : nb * rows_per_band].reshape(
-                sn.shape[0], m_c, nb, rows_per_band
-            ).all(axis=3)
-            has = full.any(axis=2)
-            first = full.argmax(axis=2)
-            keep = has & (first == bidx) & (est >= threshold)
-            ii, jj = np.nonzero(keep)
-            out_n.append(ids[new_rows[s0 + ii]])
-            out_c.append(ids[corp_rows[jj]])
-            out_j.append(est[ii, jj])
-        a = np.concatenate(out_n) if out_n else np.array([])
-        if len(a) == 0:
-            return empty
-        return pd.DataFrame({
-            "new_id": a,
-            "corpus_id": np.concatenate(out_c),
-            "est_jaccard": [round(float(v), 6) for v in np.concatenate(out_j)],
-        })
-
-    return keyed.groupby("band_key").map_groups(block, batch_format="pandas")
+    return _banded_pairs(
+        keyed, "band_key",
+        _minhash_verify(k // n_bands, n_bands, threshold, _cross_pairs),
+        functools.partial(_empty_pair_table, "new_id", "corpus_id",
+                          val_name="est_jaccard"),
+        max_block, "minhash_dedup_incremental",
+    )
 
 
 def simhash_fingerprints(
@@ -805,6 +819,9 @@ def simhash_near_dup(
     silent (same contract as the MinHash plans)."""
     n_seg = max_hamming + 1
     seg_bits = 64 // n_seg
+    segs = np.arange(n_seg, dtype=np.uint64)
+    shifts = segs * np.uint64(seg_bits)
+    seg_mask = np.uint64((1 << seg_bits) - 1)
 
     def explode(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -816,9 +833,7 @@ def simhash_near_dup(
         # via wraparound part*n_seg+seg; seg = key % n_seg recovers it —
         # exact: parts are < 2^seg_bits so the fold only wraps when
         # n_seg == 1, where key == part)
-        segs = np.arange(n_seg, dtype=np.uint64)
-        mask = np.uint64((1 << seg_bits) - 1)
-        parts = (sigs[:, None] >> (segs * np.uint64(seg_bits))) & mask
+        parts = (sigs[:, None] >> shifts) & seg_mask
         with np.errstate(over="ignore"):
             keys = parts * np.uint64(n_seg) + segs[None, :]
         rep = np.repeat(np.arange(n), n_seg)
@@ -828,51 +843,27 @@ def simhash_near_dup(
             "sig": pa.array(np.repeat(sigs.view(np.int64), n_seg)),
         })
 
-    def block(group: pd.DataFrame) -> pd.DataFrame:
-        """Pair indices GENERATED in bounded chunks (_pair_index_chunks)
-        so peak memory stays ~tens of MB even at max_block — never the
-        full O(m²) triu index arrays."""
-        empty = pd.DataFrame({"doc_a": [], "doc_b": [], "hamming": []})
-        m = len(group)
-        if m < 2:
-            return empty
-        if m > max_block:
-            _warn_skipped_group("simhash_near_dup", "seg_key",
-                                int(group["seg_key"].iloc[0]), m, max_block)
-            return empty
-        seg_idx = (int(group["seg_key"].iloc[0]) & ((1 << 64) - 1)) % n_seg
-        order = np.argsort(group["id"].to_numpy(), kind="stable")
-        ids = group["id"].to_numpy()[order]
-        sigs = group["sig"].to_numpy()[order].view(np.uint64)
-        shifts = np.arange(n_seg, dtype=np.uint64) * np.uint64(seg_bits)
-        seg_mask = np.uint64((1 << seg_bits) - 1)
-        out_a, out_b, out_h = [], [], []
-        for ii, jj in _pair_index_chunks(m, 1 << 18):
-            hd = hamming64(sigs[ii], sigs[jj])
-            keep = (hd <= max_hamming) & (ids[ii] != ids[jj])
-            ii, jj, hd = ii[keep], jj[keep], hd[keep]
-            if len(ii) == 0:
-                continue
+    def verify(key: int, seg: dict):
+        sigs = seg["sig"].view(np.uint64)
+        for a, b in _self_pairs(seg):
+            hd = hamming64(sigs[a], sigs[b])
+            keep = hd <= max_hamming
+            a, b, hd = a[keep], b[keep], hd[keep]
             # min-segment emission: the first matching segment owns the
             # pair (≥1 segment matches by pigeonhole: hd ≤ r, r+1 segments)
-            a_seg = (sigs[ii][:, None] >> shifts) & seg_mask  # [p, n_seg]
-            b_seg = (sigs[jj][:, None] >> shifts) & seg_mask
-            own = (a_seg == b_seg).argmax(axis=1) == seg_idx
-            out_a.append(ids[ii[own]])
-            out_b.append(ids[jj[own]])
-            out_h.append(hd[own])
-        if not out_a:
-            return empty
-        return pd.DataFrame({
-            "doc_a": np.concatenate(out_a),
-            "doc_b": np.concatenate(out_b),
-            "hamming": np.concatenate(out_h),
-        })
+            diff = ((sigs[a] ^ sigs[b])[:, None] >> shifts) & seg_mask  # [p, n_seg]
+            own = (diff == 0).argmax(axis=1) == key % n_seg
+            yield a[own], b[own], hd[own]
 
     keyed = ds.map_batches(explode, batch_format="pyarrow")
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out, key_col="seg_key")
-    return keyed.groupby("seg_key").map_groups(block, batch_format="pandas")
+    return _banded_pairs(
+        keyed, "seg_key", verify,
+        functools.partial(_empty_pair_table, "doc_a", "doc_b",
+                          val_name="hamming", val_type=pa.int64()),
+        max_block, "simhash_near_dup",
+    )
 
 
 def embedding_near_dup_lsh(
@@ -1169,13 +1160,15 @@ def embedding_near_dup(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _empty_pair_table(a_name: str, b_name: str, id_type: pa.DataType) -> pa.Table:
-    """Typed empty (a, b, cos_sim) output block — an untyped empty
+def _empty_pair_table(a_name: str, b_name: str, id_type: pa.DataType,
+                      val_name: str = "cos_sim",
+                      val_type: pa.DataType = pa.float64()) -> pa.Table:
+    """Typed empty (a, b, value) output block — an untyped empty
     table would break the stream's schema union."""
     return pa.table({
         a_name: pa.array([], type=id_type),
         b_name: pa.array([], type=id_type),
-        "cos_sim": pa.array([], type=pa.float64()),
+        val_name: pa.array([], type=val_type),
     })
 
 

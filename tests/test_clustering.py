@@ -5,6 +5,7 @@ convergence in O(log D) rounds, loud non-convergence)."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data
@@ -81,6 +82,27 @@ def test_many_nodes_few_edges_takes_distributed_path(monkeypatch):
     assert m["d000"] == m["d001"]
     # every other doc is its own singleton cluster
     assert len(set(m.values())) == n - 1
+
+
+def test_int_ids_cluster_identically_on_both_paths():
+    """Both clustering paths keep integer ids and order them as
+    integers: docs 9 and 10 (identical text) cluster under 9, not under
+    the string-smaller "10", and the driver and distributed tables are
+    identical."""
+    from deezymatch_ray.pipelines import linkage
+
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([9, 10, 11], type=pa.int64()),
+        "text": pa.array(["the quick brown fox jumps over the lazy dog"] * 2
+                         + ["an unrelated document about something else"]),
+    }))
+    got = [
+        linkage.cluster_near_dup_documents(docs, distributed_cc=d)
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        for d in (False, True)
+    ]
+    pd.testing.assert_frame_equal(got[0], got[1])
+    assert list(zip(got[0].doc_id, got[0].cluster_id)) == [(9, 9), (10, 9), (11, 11)]
 
 
 def test_non_convergence_raises_instead_of_splitting():

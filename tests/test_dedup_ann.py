@@ -301,25 +301,40 @@ def test_embedding_incremental_empty_sides_and_stats_out():
     assert stats["n_band_groups"] > 0 and stats["oversized_band_groups"] == 0
 
 
-def test_oversized_band_group_warns_and_skips():
+@pytest.mark.parametrize("plan", [
+    "minhash_lsh_near_dup", "minhash_lsh_dedup_incremental", "simhash_near_dup",
+])
+def test_oversized_band_group_warns_and_skips(plan):
     """Round-4 (r3 VERDICT #4): band groups past max_block must not be
-    lost silently. The warn helper fires a UserWarning (it runs on the
-    worker that hits the group, so the unit assertion targets the
-    helper directly), and a constructed hot band — identical docs, so
-    every band group exceeds max_block — is skipped AND visible via
-    stats_out without opting in to anything else."""
+    lost silently, in every banded plan. The warn helper fires a
+    UserWarning (it runs on the worker that hits the group, so the unit
+    assertion targets the helper directly), and a constructed hot band
+    — identical docs, so every band/segment group exceeds max_block —
+    is skipped AND visible via stats_out; with the cap above the group
+    size the same input pairs in full."""
     with pytest.warns(UserWarning, match="SKIPPED"):
-        dedup._warn_skipped_group("minhash_lsh_near_dup", "band_key",
-                                  7, 123, 100)
+        dedup._warn_skipped_group(plan, "band_key", 7, 123, 100)
     docs = ray.data.from_items([
         {"doc_id": i, "text": "x y z w v u t s"} for i in range(12)
     ])
+
+    def run(max_block, stats_out=None):
+        if plan == "minhash_lsh_dedup_incremental":
+            return dedup.minhash_lsh_dedup_incremental(
+                docs.filter(expr="doc_id < 4"), docs.filter(expr="doc_id >= 4"),
+                threshold=0.5, max_block=max_block, stats_out=stats_out,
+            ).to_pandas()
+        kwargs = {} if plan == "simhash_near_dup" else {"threshold": 0.5}
+        return getattr(dedup, plan)(
+            docs, max_block=max_block, stats_out=stats_out, **kwargs
+        ).to_pandas()
+
     stats: dict = {}
-    got = dedup.minhash_lsh_near_dup(
-        docs, threshold=0.5, max_block=8, stats_out=stats
-    ).to_pandas()
-    assert len(got) == 0
-    assert stats["oversized_band_groups"] > 0
+    assert len(run(8, stats)) == 0
+    assert stats["n_band_groups"] > 0
+    assert stats["oversized_band_groups"] == stats["n_band_groups"]
+    want = 4 * 8 if plan == "minhash_lsh_dedup_incremental" else 12 * 11 // 2
+    assert len(run(12)) == want
 
 
 def test_embedding_lsh_table_cap_warns_with_achieved_recall():

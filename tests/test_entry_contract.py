@@ -5,8 +5,10 @@ The driver's correctness gate runs every ``queries()`` entry AND its
 modes before the driver does: an oracle that no longer parses/plans in
 DuckDB, an oracle key without a query, or a query surface that drifted
 (missing callables). Full value comparison stays where it belongs —
-per-stage oracle tests and the driver's own sweep — so this file adds
-seconds, not minutes.
+per-stage oracle tests and the driver's own sweep — except for the
+three banded near-dup plans, whose rows are compared value-exact at
+sf0.01 (they share one pair-emission core, so one drifted kernel or
+bucketing bug shows up here).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import duckdb
 import pytest
 
 SF = "/root/testdata/sf0.001"
+SF01 = "/root/testdata/sf0.01"
 TABLES = (
     "region nation customer supplier part orders lineitem events "
     "documents embeddings"
@@ -59,3 +62,22 @@ def test_every_oracle_sql_plans_in_duckdb(entry, con):
 def test_queries_are_callables(entry):
     for name, fn in entry.queries().items():
         assert callable(fn), name
+
+
+@pytest.mark.parametrize(
+    "name", ["minhash_near_dup", "minhash_dedup_incremental", "simhash_near_dup"]
+)
+def test_banded_near_dup_rows_match_oracle(entry, name):
+    """The md5-basis banded plans reproduce their DuckDB oracle
+    row-for-row and value-exact at sf0.01."""
+    c = duckdb.connect()
+    c.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF01}/documents.parquet')"
+    )
+    want = c.execute(entry.oracle_sql()[name]).df()
+    got = entry.queries()[name](SF01).to_pandas()
+    cols = list(want.columns)
+    assert len(want) > 0
+    assert sorted(got[cols].itertuples(index=False, name=None)) == sorted(
+        want.itertuples(index=False, name=None)
+    )
