@@ -30,10 +30,6 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 PAIRS_N = int(os.environ.get("GRAFT_BENCH_PAIRS", "960000"))
 LINK_DOCS_N = int(os.environ.get("GRAFT_BENCH_LINK_DOCS", "4000"))
-# scorer map_batches batch size: ~256 keeps the per-leg input-gate
-# tensor (B·T·3H floats) inside cache — measured faster than 512+ both
-# single-core and under full parallelism (see BASELINE.md round 3)
-SCORE_BS = int(os.environ.get("GRAFT_SCORE_BS", "256"))
 
 
 def _init_ray():
@@ -76,6 +72,7 @@ def bench_pair_scoring() -> dict:
     (model p1 + Levenshtein + Jaro-Winkler per pair)."""
     import ray.data
 
+    from deezymatch_ray.config import DEFAULT_CONFIG
     from deezymatch_ray.pipelines.linkage import (
         get_or_train_default_model,
         load_model_artifacts,
@@ -109,7 +106,8 @@ def bench_pair_scoring() -> dict:
         s1_col="s1", s2_col="s2", with_classical=True, emit=(),
         preprocessing=cfg.preprocessing, tokenization=cfg.tokenization,
     )
-    scorer_kwargs = dict(batch_format="pyarrow", batch_size=SCORE_BS)
+    scorer_kwargs = dict(batch_format="pyarrow",
+                         batch_size=DEFAULT_CONFIG.execution.score_batch_size)
     warm_kwargs = dict(batch_format="pyarrow", batch_size=64)
     # warm-up: fork+import Ray's worker pool once on a tiny slice so the
     # timed window measures the pipeline, not interpreter startup. The

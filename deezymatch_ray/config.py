@@ -127,14 +127,22 @@ class RankingConfig:
 class ExecutionConfig:
     """Ray Data execution knobs — per-stage sizing."""
 
-    score_batch_size: int = 4096
+    # rows per model call (embedder and pair scorer). 256 won the
+    # round-3 pair-scoring A/B (~15% faster on one core than 512+: the
+    # GRU's per-leg gate tensor, B·T·3H floats, stays cache-resident)
+    # and is the value bench.py runs. On link (1,000 docs, one core)
+    # 1024 ran 0.4-1.4 s faster per job, also inside the benchmark's
+    # RSS bound; 4096 was not (BASELINE.md §Scorer batch size)
+    score_batch_size: int = 256
     # Autoscaling actor-pool bounds (min, max): a fixed-size pool larger
     # than the cluster's free CPUs deadlocks Ray Data's ActorPoolMapOperator
     # while it waits for all actors to schedule; (1, N) starts work with
     # whatever fits and scales up to N as resources allow.
     score_concurrency: tuple[int, int] = (1, 8)
     # hash-bucket count for fine-keyed groupbys (block keys, query ids,
-    # pair dedup): bounds map_groups invocations and sets shuffle width
+    # pair dedup, band keys): bounds map_groups calls. It is not the
+    # shuffle width: blocked_pairs/rank_pairs shuffle min(this, cluster
+    # CPUs) blocks (ranking._group_width), the others their input's.
     shuffle_partitions: int = 64
     # union-find on the driver only when BOTH edge and node counts fit
     # under this (a huge corpus with few duplicate edges must still

@@ -213,7 +213,9 @@ class ImageResizer:
             contents = batch["content"].to_pylist()
             resized: list[bytes | None] = []
             for i, c in enumerate(contents):
-                if is_png(c):
+                # a PNG under a non-image mime has a 0×0 fit: null, not
+                # an empty re-encoded image
+                if is_img[i] and is_png(c):
                     try:
                         px = resize_nearest(decode_png(c), int(ow[i]), int(oh[i]))
                         resized.append(encode_png(px))

@@ -199,11 +199,16 @@ def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
     fine key (50k q-gram blocks, one million query ids) pays per-group
     scheduling/pandas overhead that dwarfs the math. Grouping on
     ``hash(key) % num_buckets`` keeps each key's rows together while the
-    UDF processes a whole bucket of groups vectorized."""
+    UDF processes a whole bucket of groups vectorized.
+
+    Schema metadata is dropped: a pandas-format UDF upstream (e.g.
+    salt_hot_blocks) leaves ``pandas`` metadata that names tensor columns
+    by Ray's pandas tensor dtype, and the bucket UDF's ``to_pandas``
+    fails on any worker that has not imported that dtype yet."""
     backend = _resolve_hash_backend()  # driver-side; shipped in closure
 
     def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
+        return batch.replace_schema_metadata(None).append_column(
             col,
             pa.array(_stable_bucket(batch, key_cols, num_buckets, backend)),
         )
@@ -566,6 +571,18 @@ def salt_hot_blocks(
     return keyed.map_batches(explode, batch_format="pandas")
 
 
+def _group_width(cfg: EngineConfig) -> int:
+    """Block count in front of a bucketed sort groupby. Ray's sort
+    shuffle runs one map and one reduce task per input block, so the
+    width is set here, not inherited: a ``from_arrow`` side or one small
+    parquet file arrives as 1-2 blocks and would score in 1-2 tasks on
+    any cluster, while a fixed 64-way split makes a one-core job pay a
+    64 × 64 fan-out for nothing. min(buckets, cluster CPUs) gives every
+    CPU a reduce task; more blocks than buckets would leave some empty."""
+    cpus = int(ray.cluster_resources().get("CPU", 1)) or 1
+    return min(cfg.execution.shuffle_partitions, cpus)
+
+
 def blocked_pairs(
     keyed: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
     keep_per_query: int | None = None,
@@ -573,9 +590,9 @@ def blocked_pairs(
     """keyed (block_key + payload) rows → scored within-block pairs.
 
     Hash-buckets block keys (bounded map_groups invocations, vectorized
-    bucket scoring) and repartitions before the groupby so the sort
-    shuffle parallelizes regardless of upstream block count. Self-join
-    inputs get hot blocks tile-salted first (salt_hot_blocks).
+    bucket scoring) and sets the sort shuffle's width first (see
+    _group_width). Self-join inputs get hot blocks tile-salted first
+    (salt_hot_blocks).
 
     ``keyed`` is materialized first when salting is on: the hot-key
     census, the salted re-emit and the pair groupby would otherwise each
@@ -585,9 +602,8 @@ def blocked_pairs(
     since the alternative is recomputing the most expensive stage."""
     if self_join and cfg.blocking.salt_hot_blocks:
         keyed = salt_hot_blocks(keyed.materialize(), cfg)
-    P = cfg.execution.shuffle_partitions
-    b = bucketize(keyed, ["block_key"], P).repartition(P)
-    return b.groupby("__bucket").map_groups(
+    b = bucketize(keyed, ["block_key"], cfg.execution.shuffle_partitions)
+    return b.repartition(_group_width(cfg)).groupby("__bucket").map_groups(
         functools.partial(score_block_bucket, cfg=cfg, self_join=self_join,
                           keep_per_query=keep_per_query),
         batch_format="pandas",
@@ -596,10 +612,10 @@ def blocked_pairs(
 
 def rank_pairs(pairs: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
     """Final per-query dedup + threshold + top-k + rank over scored
-    pairs (bucketed by query hash; see bucketize)."""
-    P = cfg.execution.shuffle_partitions
-    b = bucketize(pairs, ["query_id"], P).repartition(P)
-    return b.groupby("__bucket").map_groups(
+    pairs (bucketed by query hash; see bucketize), behind a sort
+    shuffle of _group_width blocks."""
+    b = bucketize(pairs, ["query_id"], cfg.execution.shuffle_partitions)
+    return b.repartition(_group_width(cfg)).groupby("__bucket").map_groups(
         functools.partial(select_bucket, cfg=cfg), batch_format="pandas"
     )
 

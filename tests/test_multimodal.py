@@ -233,6 +233,27 @@ def test_resizer_resample_emits_resized_pngs(media_tbl):
     assert (out[out["mime"] != "image/png"]["resized_content"].isna()).all()
 
 
+def test_resizer_resample_nulls_png_under_non_image_mime():
+    """A PNG payload under a non-image mime gets a 0×0 fit; resampling
+    it must give null, not a re-encoded empty image."""
+    from deezymatch_ray.functions.png import encode_png
+
+    png = encode_png(np.full((4, 6, 3), 9, dtype=np.uint8))
+    t = pa.table({
+        "media_ref": ["a", "b"], "mime": ["application/octet-stream", "image/png"],
+        "width": pa.array([6, 6], type=pa.int32()),
+        "height": pa.array([4, 4], type=pa.int32()),
+        "duration_ms": pa.array([0, 0], type=pa.int32()),
+        "content": pa.array([png, png], type=pa.binary()),
+    }, schema=MEDIA_SCHEMA)
+    out = ImageResizer(max_side=3, resample=True)(t)
+    assert out["out_width"].to_pylist() == [0, 3]
+    assert out["out_height"].to_pylist() == [0, 2]
+    resized = out["resized_content"].to_pylist()
+    assert resized[0] is None
+    assert resized[1] is not None
+
+
 def test_corrupt_png_flags_decode_not_ok():
     t = pa.table({
         "media_ref": ["m1"], "mime": ["image/png"],

@@ -148,6 +148,79 @@ def test_png_roundtrip_property(h, w, c, seed):
     np.testing.assert_array_equal(decode_png(encode_png(px)), px)
 
 
+def _refilter_png(png: bytes, c: int, filters) -> bytes:
+    """Re-filter encode_png's filter-0 scanlines with the given PNG
+    filter type per row (PNG spec §9: 1 Sub, 2 Up, 3 Average, 4 Paeth)
+    and re-deflate the IDAT — a forward filter independent of the
+    decoder's inverse."""
+    import struct
+    import zlib
+
+    chunks, pos = [], 8
+    while pos < len(png):
+        (n,) = struct.unpack(">I", png[pos:pos + 4])
+        chunks.append((png[pos + 4:pos + 8], png[pos + 8:pos + 8 + n]))
+        pos += 12 + n
+    (ihdr,) = [body for tag, body in chunks if tag == b"IHDR"]
+    w, h = struct.unpack(">II", ihdr[:8])
+    (idat,) = [body for tag, body in chunks if tag == b"IDAT"]
+    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    raw = raw.reshape(h, 1 + w * c)
+    assert (raw[:, 0] == 0).all()
+    rows = raw[:, 1:].astype(np.int16)
+    out = raw.copy()
+    for y, f in enumerate(filters):
+        x = rows[y]
+        up = rows[y - 1] if y else np.zeros_like(x)
+        left = np.concatenate([np.zeros(c, np.int16), x[:-c]])
+        upleft = np.concatenate([np.zeros(c, np.int16), up[:-c]])
+        if f == 0:
+            pred = np.zeros_like(x)
+        elif f == 1:
+            pred = left
+        elif f == 2:
+            pred = up
+        elif f == 3:
+            pred = (left + up) // 2
+        else:
+            p = left + up - upleft
+            pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+            pred = np.where((pa <= pb) & (pa <= pc), left,
+                            np.where(pb <= pc, up, upleft))
+        out[y, 0] = f
+        out[y, 1:] = (x - pred) % 256
+
+    def chunk(tag: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF))
+
+    body = {b"IDAT": zlib.compress(out.tobytes(), 6)}
+    return png[:8] + b"".join(chunk(tag, body.get(tag, data))
+                              for tag, data in chunks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from([1, 2, 3, 4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_png_decode_every_filter_type_property(h, w, c, seed):
+    """decode_png inverts every scanline filter: each of Sub, Up,
+    Average and Paeth on all rows, and all five types mixed row by
+    row."""
+    from deezymatch_ray.functions.png import decode_png, encode_png
+
+    px = np.random.default_rng(seed).integers(0, 256, size=(h, w, c),
+                                              dtype=np.uint8)
+    png = encode_png(px)
+    for filters in ([1] * h, [2] * h, [3] * h, [4] * h,
+                    [y % 5 for y in range(h)]):
+        np.testing.assert_array_equal(
+            decode_png(_refilter_png(png, c, filters)), px)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=20),

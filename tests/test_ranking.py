@@ -342,3 +342,116 @@ def test_bucketize_hash_backend_version_guard():
         _stable_bucket(t, ["k"], 16, backend),
         _stable_bucket(t, ["k"], 16, backend),
     )
+
+
+def test_bucketized_salted_rows_convert_to_pandas_in_a_fresh_process(tmp_path):
+    """The bucket UDFs read their input with to_pandas on whichever
+    worker runs them. Salted rows come out of a pandas-format UDF, so
+    they must not carry pandas metadata that only a process which has
+    imported Ray's pandas tensor dtype can parse."""
+    import subprocess
+    import sys
+
+    from deezymatch_ray.stages.ranking import bucketize, salt_hot_blocks
+
+    cfg = DEFAULT_CONFIG.replace(
+        blocking=dataclasses.replace(DEFAULT_CONFIG.blocking,
+                                     max_block_size=24))
+    salted = salt_hot_blocks(ray.data.from_arrow(_keyed_rows()), cfg)
+    blocks = ray.get(bucketize(salted, ["block_key"], 64).to_arrow_refs())
+    path = tmp_path / "bucketized.arrow"
+    with pa.ipc.new_file(str(path), blocks[0].schema) as w:
+        for b in blocks:
+            w.write_table(b)
+    code = ("import sys, pyarrow as pa, ray.air.util.tensor_extensions.arrow\n"
+            "df = pa.ipc.open_file(sys.argv[1]).read_all().to_pandas()\n"
+            "print(len(df))")
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == sum(b.num_rows for b in blocks) > 0
+
+
+def _keyed_rows(n=150, n_keys=40, hot=60, dim=8, seed=5) -> pa.Table:
+    """Keyed self-join rows: every doc under 3 of ``n_keys`` block keys
+    (pairs share up to 3 keys, so dedup has work), plus one key over
+    the test's max_block_size that salt_hot_blocks tiles."""
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal((n, dim)).astype(np.float32)
+    docs = np.concatenate([
+        np.repeat(np.arange(n), 3), rng.choice(n, hot, replace=False)])
+    keys = np.concatenate([
+        np.concatenate([rng.choice(n_keys, 3, replace=False) for _ in range(n)]),
+        np.full(hot, -1)])
+    return pa.table({
+        "block_key": pa.array([f"k{k}" if k >= 0 else "hot" for k in keys]),
+        "id": pa.array([f"d{i:03d}" for i in docs]),
+        "orig": pa.array([f"name{i}" for i in docs]),
+        "norm_text": pa.array([f"name{i}" for i in docs]),
+        "emb": pa.FixedSizeListArray.from_arrays(
+            pa.array(emb[docs].reshape(-1)), dim),
+        "emb_valid": pa.array([True] * len(docs)),
+    })
+
+
+@pytest.mark.parametrize("n_blocks", [1, 7])
+def test_shuffle_width_does_not_change_results(n_blocks):
+    """The bucketed sort groupbys shuffle min(buckets, cluster CPUs)
+    blocks whatever the input's block count (a 1-block input must not
+    collapse them to one task); blocked_pairs → dedup_pairs and
+    rank_pairs must return the rows (faiss_dist included, bit for bit)
+    that one in-process call of each bucket kernel over the whole input
+    returns. The 7-block input also permutes the rows, so each bucket
+    sees them in another order."""
+    from deezymatch_ray.stages.ranking import (
+        blocked_pairs,
+        dedup_pairs,
+        rank_pairs,
+        salt_hot_blocks,
+        score_block_bucket,
+        select_bucket,
+    )
+
+    tbl = _keyed_rows()
+    cfg = DEFAULT_CONFIG.replace(
+        blocking=dataclasses.replace(DEFAULT_CONFIG.blocking,
+                                     max_block_size=24),
+        ranking=dataclasses.replace(DEFAULT_CONFIG.ranking,
+                                    selection_threshold=14.0,
+                                    num_candidates=3),
+    )
+    keyed = ray.data.from_arrow(tbl)
+    if n_blocks > 1:
+        perm = np.random.default_rng(n_blocks).permutation(len(tbl))
+        keyed = ray.data.from_arrow(tbl.take(perm)).repartition(n_blocks)
+    assert keyed.materialize().num_blocks() == n_blocks
+
+    salted = salt_hot_blocks(ray.data.from_arrow(tbl), cfg).to_pandas()
+    assert salted["block_key"].str.startswith("hot\x1ftile:").any()
+    want_pairs = (score_block_bucket(salted, cfg=cfg, self_join=True)
+                  .drop_duplicates(subset=["query_id", "candidate_id"]))
+    want_rank = select_bucket(want_pairs, cfg=cfg)
+
+    pairs = dedup_pairs(blocked_pairs(keyed, cfg, self_join=True)).materialize()
+    ranked = rank_pairs(pairs, cfg).materialize()
+    width = min(cfg.execution.shuffle_partitions,
+                int(ray.cluster_resources()["CPU"]))
+    assert width > 1
+    assert pairs.num_blocks() == ranked.num_blocks() == width
+
+    def rows(df, cols):
+        return (df[cols].sort_values(["query_id", "candidate_id"])
+                .reset_index(drop=True))
+
+    pair_cols = list(want_pairs.columns)
+    got_pairs = rows(pairs.to_pandas(), pair_cols)
+    assert len(got_pairs) > 0
+    pd.testing.assert_frame_equal(
+        got_pairs, rows(want_pairs, pair_cols).astype(got_pairs.dtypes),
+        check_exact=True)
+    rank_cols = list(want_rank.columns)
+    got_rank = rows(ranked.to_pandas(), rank_cols)
+    assert got_rank["rank"].max() == 3
+    pd.testing.assert_frame_equal(
+        got_rank, rows(want_rank, rank_cols).astype(got_rank.dtypes),
+        check_exact=True)
