@@ -14,7 +14,6 @@ Reference parity:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -91,17 +90,19 @@ def map_score(
     """A5 MAP: per-query AP via groupby().map_groups, mean on the driver,
     skipping groups with no positive label (utils.py:88-93)."""
 
-    def ap_group(df: pd.DataFrame) -> pd.DataFrame:
-        y = df[label_col].to_numpy(dtype=bool)
+    def ap_group(batch: pa.Table) -> pa.Table:
+        y = np.asarray(batch[label_col].to_numpy(), dtype=bool)
         if not y.any():
-            return pd.DataFrame({"ap": [], "skip": []})
+            return pa.table({"ap": pa.array([], type=pa.float64())})
         rng = np.random.default_rng(seed)
-        perm = rng.permutation(len(df))  # tie randomization (utils.py:83-86)
-        return pd.DataFrame({
-            "ap": [average_precision(y[perm], df[score_col].to_numpy()[perm])],
-            "skip": [0],
-        })
+        perm = rng.permutation(len(y))  # tie randomization (utils.py:83-86)
+        scores = batch[score_col].to_numpy()
+        return pa.table({"ap": [average_precision(y[perm], scores[perm])]})
 
-    aps = scored.groupby(query_col).map_groups(ap_group, batch_format="pandas")
-    vals = [r["ap"] for r in aps.take_all()]
-    return float(np.mean(vals)) if vals else 0.0
+    aps = scored.groupby(query_col).map_groups(ap_group, batch_format="pyarrow")
+    # the AP column is read batch-wise and sorted before the mean, so the
+    # result does not depend on the order the groups come back in
+    vals = np.concatenate([np.empty(0)] + [
+        b["ap"].to_numpy() for b in aps.iter_batches(
+            batch_format="pyarrow", batch_size=None)])
+    return float(np.sort(vals).mean()) if len(vals) else 0.0

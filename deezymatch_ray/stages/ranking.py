@@ -58,6 +58,7 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -202,9 +203,10 @@ def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
     UDF processes a whole bucket of groups vectorized.
 
     Schema metadata is dropped: a pandas-format UDF upstream (e.g.
-    salt_hot_blocks) leaves ``pandas`` metadata that names tensor columns
-    by Ray's pandas tensor dtype, and the bucket UDF's ``to_pandas``
-    fails on any worker that has not imported that dtype yet."""
+    score_block_bucket) leaves ``pandas`` metadata that can name tensor
+    columns by Ray's pandas tensor dtype, and a bucket UDF's
+    ``to_pandas`` fails on any worker that has not imported that dtype
+    yet."""
     backend = _resolve_hash_backend()  # driver-side; shipped in closure
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -399,16 +401,31 @@ def select_bucket(df: pd.DataFrame, *, cfg: EngineConfig) -> pd.DataFrame:
 
 def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
     """Drop duplicate (query_id, candidate_id) rows — the D1 pattern
-    (SURVEY §2.7): hash-bucket the pair key, vectorized drop_duplicates
-    per bucket. Distances are identical across a pair's blocks, so
-    keep-any is exact."""
+    (SURVEY §2.7): hash-bucket the pair key, then one vectorized Arrow
+    pass per bucket. A pair shared by k blocks arrives k times, and its
+    gram-form distance can differ in the last bits between blocks
+    (byte-identical embeddings give 0 in one block, ~1e-14 in another),
+    so each pair keeps its copy with the lowest (faiss_dist,
+    cosine_dist): the result does not depend on row or block order."""
     keyed = bucketize(ds, ["query_id", "candidate_id"], num_buckets)
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.drop_duplicates(subset=["query_id", "candidate_id"])
-        return out.drop(columns=["__bucket"])
+    def fn(batch: pa.Table) -> pa.Table:
+        t = batch.drop_columns(["__bucket"]).sort_by([
+            ("query_id", "ascending"), ("candidate_id", "ascending"),
+            ("faiss_dist", "ascending"), ("cosine_dist", "ascending"),
+        ])
+        if t.num_rows < 2:
+            return t
+        # keep the first row of each (query_id, candidate_id) run
+        head, tail = t.slice(0, t.num_rows - 1), t.slice(1)
+        new = pc.or_(
+            pc.not_equal(tail["query_id"], head["query_id"]),
+            pc.not_equal(tail["candidate_id"], head["candidate_id"]),
+        )
+        return t.filter(pa.concat_arrays(
+            [pa.array([True])] + new.chunks))
 
-    return keyed.groupby("__bucket").map_groups(fn, batch_format="pandas")
+    return keyed.groupby("__bucket").map_groups(fn, batch_format="pyarrow")
 
 
 def _with_pred(pairs: ray.data.Dataset, cfg: EngineConfig, weights_ref, vocab_ref, meta):
@@ -493,10 +510,15 @@ def salt_hot_blocks(
     carries no signal at that frequency) and remain visible in the
     block-size histogram (stages/blocking.block_stats).
 
-    Hot-key detection uses per-batch partial counts (one row per
-    distinct key per batch) before the groupby — the detection shuffle
-    carries O(distinct keys × batches), never a second full pass over
-    the keyed payload.
+    The hot-key census is Arrow end to end: each batch is reduced to
+    one (block_key, n) row per distinct key by an Arrow group_by, so
+    the census never passes over the keyed payload twice. Up to
+    ``driver_census_limit`` keyed rows, the driver reads those partials
+    as Arrow batches and sums them with one more group_by (a Ray
+    shuffle's fixed cost would dwarf the work); past it a Ray ``Sum``
+    aggregate sums them. Only the hot keys become Python objects, and
+    the re-emit is an Arrow UDF too: no driver or worker step reads the
+    keyed rows one by one.
     """
     import math
     import zlib
@@ -505,70 +527,78 @@ def salt_hot_blocks(
 
     cap = cfg.blocking.max_block_size
 
-    def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["block_key"].value_counts()
-        return pd.DataFrame({"block_key": vc.index.to_numpy(), "n": vc.to_numpy()})
+    def partial_counts(batch: pa.Table) -> pa.Table:
+        t = batch.group_by("block_key").aggregate([("block_key", "count")])
+        return pa.table({"block_key": t["block_key"], "n": t["block_key_count"]})
 
     partials = keyed.select_columns(["block_key"]).map_batches(
-        partial_counts, batch_format="pandas"
+        partial_counts, batch_format="pyarrow"
     )
     if keyed.count() <= cfg.blocking.driver_census_limit:
-        # small input: summing the per-batch partials on the driver is a
-        # single map pass; the distributed groupby's fixed shuffle
-        # overhead (~10 s) would dwarf the work (callers pass keyed
-        # MATERIALIZED, so count() here is free)
-        from collections import Counter
-
-        tot: Counter = Counter()
-        for r in partials.take_all():
-            tot[r["block_key"]] += int(r["n"])
-        hot_rows = [{"block_key": k, "n": v} for k, v in tot.items() if v > cap]
+        # callers pass keyed MATERIALIZED, so count() here is free
+        parts = list(partials.iter_batches(batch_format="pyarrow",
+                                           batch_size=None))
+        if not parts:
+            return keyed
+        tot = pa.concat_tables(parts).group_by("block_key").aggregate(
+            [("n", "sum")])
+        tot = tot.filter(pc.greater(tot["n_sum"], cap))
+        hot_rows = zip(tot["block_key"].to_pylist(), tot["n_sum"].to_pylist())
     else:
         sizes = partials.groupby("block_key").aggregate(Sum("n", alias_name="n"))
-        hot_rows = sizes.filter(expr=f"n > {cap}").take_all()
-    if not hot_rows:
-        return keyed
-    max_tiles = cfg.blocking.salt_max_tiles
+        hot_rows = [(r["block_key"], r["n"])
+                    for r in sizes.filter(expr=f"n > {cap}").take_all()]
     target = max(1, cap // 2)
-    hot = {
-        r["block_key"]: math.ceil(r["n"] / target)
-        for r in hot_rows
-        if math.ceil(r["n"] / target) <= max_tiles
-    }
-    hot_ref = ray.put(hot)
-    dropped = {r["block_key"] for r in hot_rows} - set(hot)
+    tiles = {k: math.ceil(n / target) for k, n in hot_rows}
+    if not tiles:
+        return keyed
+    hot = {k: s for k, s in tiles.items()
+           if s <= cfg.blocking.salt_max_tiles}
+    # the hot keys with their tile counts, and the keys dropped for
+    # needing more than salt_max_tiles
+    hot_ref = ray.put((
+        pa.array(list(hot), type=pa.string()),
+        pa.array(list(hot.values()), type=pa.int64()),
+        pa.array([k for k in tiles if k not in hot], type=pa.string()),
+    ))
 
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        hot_map = ray.get(hot_ref)
-        keys = df["block_key"].to_numpy()
-        is_hot = np.array([k in hot_map for k in keys])
-        cold = df[~is_hot].copy()
-        cold["role"] = "q"
-        out = [cold[~cold["block_key"].isin(dropped)]] if dropped else [cold]
-        hdf = df[is_hot]
-        if len(hdf):
-            ids = hdf[id_col].astype(str).to_numpy()
-            hkeys = hdf["block_key"].to_numpy()
-            s_per = np.array([hot_map[k] for k in hkeys], dtype=np.int64)
-            g_per = np.array(
-                [zlib.crc32(x.encode()) % s for x, s in zip(ids, s_per)],
-                dtype=np.int64,
-            )
-            rep = np.repeat(np.arange(len(hdf)), s_per)
-            o_vals = np.concatenate([np.arange(s) for s in s_per])
-            g_rep = g_per[rep]
-            a = np.minimum(g_rep, o_vals)
-            b = np.maximum(g_rep, o_vals)
-            new_keys = [f"{k}\x1ftile:{x}-{y}"
-                        for k, x, y in zip(hkeys[rep], a, b)]
-            roles = np.where(g_rep == a, "q", "c")
-            exploded = hdf.iloc[rep].copy()
-            exploded["block_key"] = new_keys
-            exploded["role"] = roles
-            out.append(exploded)
-        return pd.concat(out) if out else df.iloc[:0]
+    def explode(batch: pa.Table) -> pa.Table:
+        hot_keys, hot_s, dropped = ray.get(hot_ref)
+        keys = batch["block_key"]
+        is_hot = pc.is_in(keys, value_set=hot_keys)
+        cold = batch.filter(pc.invert(pc.or_(
+            is_hot, pc.is_in(keys, value_set=dropped))))
+        cold = cold.append_column(
+            "role", pa.array(np.full(cold.num_rows, "q"), type=pa.string()))
+        hrows = batch.filter(is_hot)
+        if hrows.num_rows == 0:
+            return cold
+        s_per = hot_s.take(pc.index_in(
+            hrows["block_key"], value_set=hot_keys)).to_numpy()
+        g_per = np.array(
+            [zlib.crc32(x.encode()) % s for x, s in zip(
+                pc.cast(hrows[id_col], pa.string()).to_pylist(), s_per)],
+            dtype=np.int64,
+        )
+        # member i is re-emitted once per tile group o in 0..s_i-1
+        rep = np.repeat(np.arange(hrows.num_rows), s_per)
+        o_vals = np.arange(len(rep)) - np.repeat(np.cumsum(s_per) - s_per, s_per)
+        g_rep = g_per[rep]
+        a = np.minimum(g_rep, o_vals)
+        b = np.maximum(g_rep, o_vals)
+        exploded = hrows.take(rep)
+        new_keys = pc.binary_join_element_wise(
+            exploded["block_key"], "\x1ftile:",
+            pc.cast(pa.array(a), pa.string()), "-",
+            pc.cast(pa.array(b), pa.string()), "")
+        exploded = exploded.set_column(
+            exploded.schema.get_field_index("block_key"), "block_key",
+            new_keys,
+        ).append_column(
+            "role", pa.array(np.where(g_rep == a, "q", "c"), type=pa.string()))
+        return pa.concat_tables([cold, exploded])
 
-    return keyed.map_batches(explode, batch_format="pandas")
+    return keyed.map_batches(explode, batch_format="pyarrow")
 
 
 def _group_width(cfg: EngineConfig) -> int:
@@ -636,8 +666,6 @@ class _KeyAndCarry:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         keys = self.derive(batch)  # (id, block_key) distinct
         # gather keys back to this batch's rows with an Arrow kernel (the
         # round-1 Python dict + per-row comprehension was the last row

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data
@@ -100,6 +101,48 @@ def test_average_precision_matches_manual():
     assert average_precision(y, s) == pytest.approx(0.5 + 0.5 * 2 / 3)
     # all-negative → 0 (caller skips these groups)
     assert average_precision(np.zeros(3, dtype=bool), np.arange(3.0)) == 0.0
+
+
+def _numpy_map(df, seed=123):
+    """MAP recount: per-query AP under the seeded tie permutation,
+    skipping queries without a positive (utils.py:83-93)."""
+    aps = []
+    for _, g in df.groupby("s1", sort=False):
+        y = g["label"].to_numpy(dtype=bool)
+        if y.any():
+            perm = np.random.default_rng(seed).permutation(len(g))
+            aps.append(average_precision(y[perm],
+                                         g["pred_score"].to_numpy()[perm]))
+    return float(np.mean(aps))
+
+
+def test_api_inference_map_matches_numpy_recount(tiny_model_dir):
+    """api.inference(calc_map=True) over 320 queries, each with one
+    positive, five negatives and a duplicated row, equals a NumPy
+    recount of the scored rows under the same seeded permutation."""
+    from deezymatch_ray.data.synth import make_labeled_pairs
+
+    d, cfg, _ = tiny_model_dir
+    pos = make_labeled_pairs(1200, seed=9).to_pandas()
+    pos = pos[pos["label"]].drop_duplicates("s1").head(320)
+    assert len(pos) == 320
+    s1, s2 = pos["s1"].tolist(), pos["s2"].tolist()
+    rows = []
+    for i, q in enumerate(s1):
+        rows.append((q, s2[i], True))
+        rows += [(q, s2[(i + k) % len(s2)], False) for k in range(1, 6)]
+        rows.append(rows[-1])
+    pairs = pd.DataFrame(rows, columns=["s1", "s2", "label"])
+    scored, metrics = api.inference(
+        d, ray.data.from_arrow(pa.Table.from_pandas(pairs, preserve_index=False)),
+        mode="test", cfg=cfg, calc_map=True)
+    df = scored.to_pandas()
+    assert len(df) == len(pairs) and df["s1"].nunique() == 320
+    # average_precision scores a run of tied scores at its last row, so
+    # the recount does not depend on the order a group's rows arrive in
+    want = _numpy_map(df)
+    assert 0.0 < want < 1.0
+    assert metrics["map"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.fixture(scope="module")

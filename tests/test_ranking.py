@@ -210,6 +210,67 @@ def test_salted_hot_block_produces_exact_pair_set():
     np.testing.assert_allclose(m["faiss_dist_s"], m["faiss_dist_p"], atol=1e-6)
 
 
+def _self_rows(key, ids, rng, dim=4):
+    emb = rng.standard_normal((len(ids), dim)).astype(np.float32)
+    return pa.table({
+        "block_key": pa.array([key] * len(ids)),
+        "id": pa.array(ids),
+        "orig": pa.array(ids),
+        "norm_text": pa.array(ids),
+        "emb": pa.FixedSizeListArray.from_arrays(pa.array(emb.reshape(-1)), dim),
+        "emb_valid": pa.array([True] * len(ids)),
+    })
+
+
+@pytest.mark.parametrize("census_limit", [10**6, 0], ids=["driver", "distributed"])
+def test_census_sums_hot_key_counts_across_blocks(census_limit):
+    """A key is hot by its total over every block, not by any one
+    block's count: each block below holds at most 4 members of a key
+    (max_block_size 8), yet "hot" (20 members over 10 blocks) must be
+    salted, with exactly the unsalted pair set. "edge" (exactly 8
+    members over 8 blocks) is not salted, and "huge" (40 members, 10
+    tiles > salt_max_tiles 6) is dropped. Both census branches: summed
+    on the driver, and by a Ray aggregate past driver_census_limit."""
+    from deezymatch_ray.stages.ranking import blocked_pairs, salt_hot_blocks
+
+    rng = np.random.default_rng(7)
+    members = {"hot": 20, "edge": 8, "huge": 40}
+    tables = {k: _self_rows(k, [f"{k}{i:02d}" for i in range(n)], rng)
+              for k, n in members.items()}
+    # block j holds members j, j+10, j+20, ... of every key: ≤ 4 per key
+    blocks = [pa.concat_tables([t.take(np.arange(j, t.num_rows, 10))
+                                for t in tables.values()]) for j in range(10)]
+    keyed = ray.data.from_arrow(blocks)
+    assert keyed.materialize().num_blocks() == 10
+    base = DEFAULT_CONFIG.replace(
+        ranking=dataclasses.replace(
+            DEFAULT_CONFIG.ranking, selection_threshold=1e9,
+            num_candidates=10**6),
+    )
+    cfg = base.replace(blocking=dataclasses.replace(
+        base.blocking, max_block_size=8, salt_max_tiles=6,
+        salt_hot_blocks=True, driver_census_limit=census_limit))
+
+    salted = salt_hot_blocks(keyed.materialize(), cfg).to_pandas()
+    base_key = salted["block_key"].str.split("\x1f").str[0]
+    assert set(base_key) == {"hot", "edge"}
+    assert (salted.loc[base_key == "hot", "block_key"]
+            .str.startswith("hot\x1ftile:").all())
+    assert (salted.loc[base_key == "edge", "block_key"] == "edge").sum() == 8
+    # 20 members, tiles of ceil(8/2): 5 groups, 5 tile slots per member
+    assert (base_key == "hot").sum() == 20 * 5
+
+    got = blocked_pairs(keyed, cfg, self_join=True).to_pandas()
+    plain = base.replace(blocking=dataclasses.replace(
+        base.blocking, max_block_size=10_000, salt_hot_blocks=False))
+    want = blocked_pairs(
+        ray.data.from_arrow([tables["hot"], tables["edge"]]), plain,
+        self_join=True).to_pandas()
+    key = lambda df: sorted(zip(df.query_id, df.candidate_id))
+    assert len(got) == (20 * 19 + 8 * 7) // 2
+    assert key(got) == key(want)
+
+
 def test_hot_block_beyond_salt_cap_is_dropped_not_wedged():
     import dataclasses
 
@@ -346,9 +407,9 @@ def test_bucketize_hash_backend_version_guard():
 
 def test_bucketized_salted_rows_convert_to_pandas_in_a_fresh_process(tmp_path):
     """The bucket UDFs read their input with to_pandas on whichever
-    worker runs them. Salted rows come out of a pandas-format UDF, so
-    they must not carry pandas metadata that only a process which has
-    imported Ray's pandas tensor dtype can parse."""
+    worker runs them, so salted rows must not carry pandas metadata
+    that only a process which has imported Ray's pandas tensor dtype
+    can parse."""
     import subprocess
     import sys
 
@@ -455,3 +516,49 @@ def test_shuffle_width_does_not_change_results(n_blocks):
     pd.testing.assert_frame_equal(
         got_rank, rows(want_rank, rank_cols).astype(got_rank.dtypes),
         check_exact=True)
+
+
+def test_dedup_pairs_keeps_lowest_distance_copy_in_any_order():
+    """A pair shared by several blocks arrives once per block, and its
+    distance can differ in the last bits between copies. dedup_pairs
+    must keep the copy with the lowest faiss_dist, whatever the row
+    order and block split of its input."""
+    from deezymatch_ray.stages.ranking import dedup_pairs
+
+    rng = np.random.default_rng(4)
+    n_pairs, copies = 120, 3
+    q = rng.integers(0, 40, n_pairs)
+    c = 40 + rng.permutation(n_pairs)  # distinct pairs
+    base = rng.random(n_pairs).astype(np.float32)
+    rows = []
+    for k in range(copies):
+        # copy 0 holds the minimum; the others sit one ulp above it
+        d = np.nextafter(base, np.float32(2), dtype=np.float32) if k else base
+        rows.append(pd.DataFrame({
+            "query_id": [f"d{i:03d}" for i in q],
+            "query": [f"name{i}" for i in q],
+            "candidate_id": [f"d{i:03d}" for i in c],
+            "candidate": [f"name{i}" for i in c],
+            "faiss_dist": d,
+            "cosine_dist": (d / 2).astype(np.float32),
+        }))
+    dup = pd.concat(rows, ignore_index=True)
+    want = (dup.sort_values("faiss_dist", kind="stable")
+            .drop_duplicates(subset=["query_id", "candidate_id"])
+            .sort_values(["query_id", "candidate_id"]).reset_index(drop=True))
+
+    def run(order, n_blocks):
+        tbl = pa.Table.from_pandas(dup.iloc[order], preserve_index=False)
+        parts = [tbl.slice(o, len(tbl) // n_blocks + 1)
+                 for o in range(0, len(tbl), len(tbl) // n_blocks + 1)]
+        out = dedup_pairs(ray.data.from_arrow(parts), 8).to_pandas()
+        return (out[list(dup.columns)].sort_values(["query_id", "candidate_id"])
+                .reset_index(drop=True))
+
+    # reversed puts an off-by-ulps copy first in every pair
+    got_a = run(np.arange(len(dup))[::-1], 1)
+    got_b = run(rng.permutation(len(dup)), 5)
+    pd.testing.assert_frame_equal(got_a, got_b, check_exact=True)
+    pd.testing.assert_frame_equal(got_a, want, check_exact=True)
+    mins = dup.groupby(["query_id", "candidate_id"])["faiss_dist"].min()
+    np.testing.assert_array_equal(got_a["faiss_dist"], mins.to_numpy())
