@@ -84,12 +84,13 @@ class BlockingConfig:
     # Blocks with more than this many members on one side are salted into
     # ceil(n / salt_target) sub-blocks (skew control; SURVEY §4).
     max_block_size: int = 512
-    # Hard cap on pairs generated per (possibly salted) block; overflow is
-    # counted in metrics, never dropped silently.
+    # Hard cap on pairs generated per unsalted block (salted tiles are
+    # exempt); a block over this or max_block_size is skipped with a
+    # warning naming it, never silently.
     max_pairs_per_block: int = 262_144
     # Self-join blocks larger than max_block_size are tile-salted into up
     # to this many groups (s(s+1)/2 tiles); blocks needing more tiles are
-    # dropped and surfaced via block stats.
+    # dropped with one driver-side warning (keys and rows dropped).
     # sized so the largest salvageable hot block matches the round-1
     # rule (tiles are now targeted at max_block_size/2 for cap headroom,
     # which doubles the tile count per block — 64 tiles × cap/2 keeps
@@ -142,7 +143,7 @@ class ExecutionConfig:
     # hash-bucket count for fine-keyed groupbys (block keys, query ids,
     # pair dedup, band keys): bounds map_groups calls. It is not the
     # shuffle width: blocked_pairs/rank_pairs shuffle min(this, cluster
-    # CPUs) blocks (ranking._group_width), the others their input's.
+    # CPUs) blocks (blocking._group_width), the others their input's.
     shuffle_partitions: int = 64
     # union-find on the driver only when BOTH edge and node counts fit
     # under this (a huge corpus with few duplicate edges must still

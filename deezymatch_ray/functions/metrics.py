@@ -6,9 +6,12 @@ Reference parity:
 - A4 accuracy/precision/recall/F1 (macro + weighted) as in
   rnn_networks.py:415-419/:675-681 (sklearn semantics, zero_division=0).
 - A5 MAP as in utils.py:67-95: group pair scores by query string, AP per
-  group with the reference's skip-all-negative-groups rule; groups are
-  seeded-shuffled before the stable sort to randomize ties exactly like
-  the reference's per-group permutation (utils.py:83-86).
+  group with the reference's skip-all-negative-groups rule. The
+  reference shuffles each group before its sort to randomize ties
+  (utils.py:83-86); AP here scores a run of tied scores as one step
+  (sklearn semantics), and NaN scores (``PairScorer``'s invalid legs)
+  as one tie run ranked last, so no row order can change an AP and no
+  shuffle is drawn.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data
+from ray.data.aggregate import Sum
 
 
 def confusion_counts(
     scored: ray.data.Dataset, label_col: str = "label", pred_col: str = "pred",
 ) -> dict[str, int]:
-    """Distributed confusion counts: per-batch partials → driver sum."""
+    """Distributed confusion counts: per-batch partials summed by one
+    aggregate, so the scored input executes once."""
 
     def fn(batch: pa.Table) -> pa.Table:
         y = np.asarray(batch[label_col].to_pylist(), dtype=bool)
@@ -33,8 +38,10 @@ def confusion_counts(
             "fn": pa.array([int((y & ~p).sum())], type=pa.int64()),
         })
 
-    parts = scored.map_batches(fn, batch_format="pyarrow")
-    return {k: int(parts.sum(k) or 0) for k in ("tp", "fp", "tn", "fn")}
+    keys = ("tp", "fp", "tn", "fn")
+    tot = scored.map_batches(fn, batch_format="pyarrow").aggregate(
+        *(Sum(k, alias_name=k) for k in keys)) or {}
+    return {k: int(tot.get(k) or 0) for k in keys}
 
 
 def classification_metrics(counts: dict[str, int]) -> dict[str, float]:
@@ -63,10 +70,13 @@ def classification_metrics(counts: dict[str, int]) -> dict[str, float]:
 
 def average_precision(y: np.ndarray, scores: np.ndarray) -> float:
     """sklearn ``average_precision_score`` semantics: AP = Σ (R_k - R_{k-1})
-    · P_k over descending-score prefixes (ties grouped)."""
-    order = np.argsort(-scores, kind="stable")
+    · P_k over descending-score prefixes (ties grouped). NaN scores rank
+    last, as one tie run, so the row order never changes the result."""
+    s = np.asarray(scores, dtype=np.float64)
+    s = np.where(np.isnan(s), -np.inf, s)
+    order = np.argsort(-s, kind="stable")
     y = np.asarray(y, dtype=np.float64)[order]
-    s = scores[order]
+    s = s[order]
     # group ties: evaluate only at the last index of each tie run
     distinct = np.flatnonzero(np.concatenate([s[1:] != s[:-1], [True]]))
     tp_cum = np.cumsum(y)
@@ -85,7 +95,6 @@ def map_score(
     query_col: str = "s1",
     label_col: str = "label",
     score_col: str = "pred_score",
-    seed: int = 123,
 ) -> float:
     """A5 MAP: per-query AP via groupby().map_groups, mean on the driver,
     skipping groups with no positive label (utils.py:88-93)."""
@@ -94,10 +103,8 @@ def map_score(
         y = np.asarray(batch[label_col].to_numpy(), dtype=bool)
         if not y.any():
             return pa.table({"ap": pa.array([], type=pa.float64())})
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(len(y))  # tie randomization (utils.py:83-86)
         scores = batch[score_col].to_numpy()
-        return pa.table({"ap": [average_precision(y[perm], scores[perm])]})
+        return pa.table({"ap": [average_precision(y, scores)]})
 
     aps = scored.groupby(query_col).map_groups(ap_group, batch_format="pyarrow")
     # the AP column is read batch-wise and sorted before the mean, so the

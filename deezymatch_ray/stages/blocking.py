@@ -1,4 +1,5 @@
-"""Blocking stage: derive join keys, control skew, group co-candidates.
+"""Blocking stage: derive join keys, control skew, group co-candidates,
+and walk key segments into candidate pairs.
 
 The reference has no blocking — its candidate_ranker brute-forces a
 global faiss index over every candidate (candidateRanker.py:361-364),
@@ -10,23 +11,38 @@ a blocking key*.
 
 Skew policy (explicit, logged — SURVEY §4): q-gram keys are Zipf-like;
 a key appearing in more than ``max_block_size`` docs carries little
-discriminative signal and would generate O(n²) pairs, so oversized
-blocks are DROPPED from pair generation and reported in the block-stats
-table — never silently.
+discriminative signal and would generate O(n²) pairs. Hot self-join
+blocks are tile-salted (``ranking.salt_hot_blocks``); a block still
+over its plan's cap is skipped with a warning, never silently.
+
+Every plan that turns key groups into pairs runs through one core,
+``segment_pairs``: rows hash-bucket with ``bucketize`` (so one UDF call
+serves a whole bucket of keys), each bucket sorts by (key, id), and
+``walk_segments`` walks its key segments, skips the ones the plan's
+oversize predicate marks (warning for each) and lets the plan's kernel
+emit (a, b, values…) row positions, gathered into the output with
+Arrow ``take``. Its users: ranking's ``blocked_pairs`` (self-join and
+query × candidate roles), ``jaccard_near_dup``, ``minhash_lsh_near_dup``,
+``minhash_lsh_dedup_incremental``, ``simhash_near_dup`` and
+``embedding_near_dup_lsh``.
 
 All batch fns are Arrow-vectorized; `derive_block_keys` is a flat_map
 implemented as `map_batches` returning more rows than in (the idiomatic
 vectorized explode).
 """
-
 from __future__ import annotations
 
+import functools
+import warnings
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
-from deezymatch_ray.config import BlockingConfig, PreprocessingConfig
+from deezymatch_ray.config import EngineConfig, PreprocessingConfig
 from deezymatch_ray.functions.similarity import soundex_batch
 from deezymatch_ray.functions.text import normalize_array, qgram_keys_table
 
@@ -81,31 +97,223 @@ class DeriveBlockKeys:
         return out
 
 
-def block_stats(keys: ray.data.Dataset) -> ray.data.Dataset:
-    """(block_key, n_docs) — the block-size histogram / skew metric."""
-    return keys.groupby("block_key").count()
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def hot_keys(
-    keys: ray.data.Dataset, max_block_size: int
-) -> list[str]:
-    """Collect keys exceeding the cap. The result is small by construction
-    (#keys with count > cap ≤ total_rows / cap) — safe to take_all."""
-    stats = block_stats(keys)
-    hot = stats.filter(lambda row: row["count()"] > max_block_size)
-    return [r["block_key"] for r in hot.take_all()]
+def _resolve_hash_backend() -> tuple[str, str | None]:
+    """Decide the bucket-hash backend ONCE (on the driver, at bucketize
+    call time) and ship the decision through the UDF closure. Deciding
+    per worker would let a heterogeneous cluster (polars on some nodes,
+    or mixed polars versions — ``pl.hash`` is only stable within one
+    version) silently send identical keys to different buckets, losing
+    cross-bucket matches in every bucketized groupby. Workers verify
+    the shipped decision and fail loudly on mismatch instead."""
+    try:
+        import polars as pl
+
+        return ("polars", pl.__version__)
+    except ImportError:
+        return ("pandas", None)
 
 
-def attach_payload(
-    keys: ray.data.Dataset,
-    docs: ray.data.Dataset,
-    id_col: str = "doc_id",
-    payload_cols: tuple[str, ...] = ("norm_text",),
-    num_partitions: int = 32,
-) -> ray.data.Dataset:
-    """Hash-join block keys back to their payload columns (text,
-    embeddings) so per-block groups are self-contained."""
-    right = docs.select_columns([id_col, *payload_cols])
-    return keys.join(
-        right, join_type="inner", num_partitions=num_partitions, on=(id_col,)
+def _hash_col_u64(col, backend: tuple[str, str | None]) -> np.ndarray:
+    """Vectorized per-row uint64 hash of one Arrow column, no Python
+    objects in the loop. polars' xxhash runs directly on the Arrow
+    buffers (zero-copy; ~3× faster than pandas' object-path siphash on
+    strings, ~100× on ints); ``backend`` is the driver's resolved
+    (name, version) — see ``_resolve_hash_backend``. Falls back to
+    pandas' fixed-key siphash when the driver had no polars."""
+    name, want_version = backend
+    if name == "polars":
+        try:
+            import polars as pl
+        except ImportError:
+            raise RuntimeError(
+                "bucketize hash backend mismatch: driver resolved polars "
+                f"{want_version} but this worker has no polars — "
+                "heterogeneous environments would silently split hash "
+                "buckets; install polars on every node or force the "
+                "pandas backend"
+            ) from None
+        if pl.__version__ != want_version:
+            raise RuntimeError(
+                "bucketize hash backend mismatch: driver polars "
+                f"{want_version} vs worker polars {pl.__version__} — "
+                "pl.hash is only stable within one version; a mixed-"
+                "version cluster would silently split hash buckets"
+            )
+        return pl.from_arrow(col).hash(seed=0).to_numpy()
+    return pd.util.hash_pandas_object(
+        col.to_pandas(), index=False
+    ).to_numpy().astype(np.uint64, copy=False)
+
+
+def _stable_bucket(batch: pa.Table, key_cols: list[str],
+                   num_buckets: int,
+                   backend: tuple[str, str | None] | None = None) -> np.ndarray:
+    """Process-stable hash buckets, fully vectorized (unlike the
+    per-process-salted Python ``hash()``): one 64-bit column hash per
+    key column, FNV-combined across columns in fixed order — the same
+    construction as the content hash in ``state/checkpoint``."""
+    if backend is None:
+        backend = _resolve_hash_backend()
+    acc = None
+    with np.errstate(over="ignore"):
+        for c in key_cols:
+            h = _hash_col_u64(batch[c], backend)
+            acc = h if acc is None else (acc ^ h) * _FNV_PRIME
+    return (acc % np.uint64(num_buckets)).astype(np.int64)
+
+
+def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
+              col: str = "__bucket") -> ray.data.Dataset:
+    """Append a stable hash-bucket column over one or more key columns.
+
+    Buckets bound the number of map_groups invocations: Ray's
+    map_groups calls the UDF once per group, so grouping directly on a
+    fine key (50k q-gram blocks, one million query ids) pays per-group
+    scheduling/pandas overhead that dwarfs the math. Grouping on
+    ``hash(key) % num_buckets`` keeps each key's rows together while the
+    UDF processes a whole bucket of groups vectorized.
+
+    Schema metadata is dropped: a pandas-format UDF upstream leaves
+    ``pandas`` metadata that can name tensor columns by Ray's pandas
+    tensor dtype, and a bucket UDF's ``to_pandas`` fails on any worker
+    that has not imported that dtype yet."""
+    backend = _resolve_hash_backend()  # driver-side; shipped in closure
+
+    def fn(batch: pa.Table) -> pa.Table:
+        return batch.replace_schema_metadata(None).append_column(
+            col,
+            pa.array(_stable_bucket(batch, key_cols, num_buckets, backend)),
+        )
+
+    return ds.map_batches(fn, batch_format="pyarrow")
+
+
+def _group_width(cfg: EngineConfig) -> int:
+    """Block count in front of a bucketed sort groupby. Ray's sort
+    shuffle runs one map and one reduce task per input block, so the
+    width is set here, not inherited: a ``from_arrow`` side or one small
+    parquet file arrives as 1-2 blocks and would score in 1-2 tasks on
+    any cluster, while a fixed 64-way split makes a one-core job pay a
+    64 × 64 fan-out for nothing. min(buckets, cluster CPUs) gives every
+    CPU a reduce task; more blocks than buckets would leave some empty."""
+    cpus = int(ray.cluster_resources().get("CPU", 1)) or 1
+    return min(cfg.execution.shuffle_partitions, cpus)
+
+
+def _pair_index_chunks(left: np.ndarray, right: np.ndarray,
+                       target: int = 1 << 18):
+    """Yield (a_idx, b_idx) covering every left×right pair in slabs of
+    ~``target`` pairs, without ever materializing the full O(m²) index
+    arrays (~800 MB at a 10k block; per-chunk memory is O(target))."""
+    slab = max(1, target // max(len(right), 1))
+    for s0 in range(0, len(left) if len(right) else 0, slab):
+        a = np.repeat(left[s0 : s0 + slab], len(right))
+        yield a, np.tile(right, len(a) // len(right))
+
+
+def _self_pairs(seg: dict):
+    """Every i<j row pair of a segment, in bounded chunks; duplicate
+    input ids never self-pair. Rows are id-sorted, so id(a) < id(b)."""
+    ids = seg["id"]
+    rows = np.arange(len(ids))
+    for a, b in _pair_index_chunks(rows, rows):
+        keep = (a < b) & (ids[a] != ids[b])
+        yield a[keep], b[keep]
+
+
+def _cross_pairs(seg: dict, col: str = "side", left=1, right=0):
+    """Every ``left`` × ``right`` row pair of a segment by its ``col``
+    tag, in bounded chunks; pairs inside one side are never formed.
+    The incremental MinHash plan pairs NEW (side 1) with CORPUS (side 0)
+    rows, ranking its queries with its candidates (``_role_pairs``)."""
+    tag = seg[col]
+    return _pair_index_chunks(np.flatnonzero(tag == left),
+                              np.flatnonzero(tag == right))
+
+
+_role_pairs = functools.partial(_cross_pairs, col="role", left="q", right="c")
+
+
+def _warn_skipped_group(kind: str, key_name: str, key, m: int, cap) -> None:
+    """Loud-by-default visibility for size-capped segment skips: a
+    degenerate key (boilerplate shingle/band, a q-gram in every name)
+    silently losing its O(m²) pairs is a correctness trap.
+    Fires on the worker that hit the segment; Ray forwards worker
+    warnings/stderr to the driver log."""
+    warnings.warn(
+        f"{kind}: {key_name}={key!r} holds {m} rows, over {cap}; its "
+        "candidate pairs are SKIPPED. Raise the cap if these pairs "
+        "matter (the banded dedup plans census oversized groups with "
+        "stats_out=).",
+        stacklevel=2,
     )
+
+
+def _np_rows(col: pa.ChunkedArray) -> np.ndarray:
+    """A column as NumPy rows; a fixed-size list becomes an [n, k]
+    matrix (``flatten`` honours slice offsets, ``.values`` would not)."""
+    arr = col.combine_chunks()
+    if pa.types.is_fixed_size_list(arr.type):
+        return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
+    return arr.to_numpy(zero_copy_only=False)
+
+
+def walk_segments(t: pa.Table, key_col: str, kernel,
+                  ends: dict[str, tuple[str, str]],
+                  values: dict[str, pa.DataType],
+                  oversize=None, kind: str = "") -> pa.Table:
+    """The one segment walk: every pair-emitting plan's per-bucket step.
+
+    Sorts the bucket by (key, id), splits it into key segments and hands
+    each segment of ≥ 2 rows to ``kernel(key, seg)`` — ``seg`` maps the
+    payload columns to id-sorted NumPy rows, an int key arrives
+    unsigned. The kernel yields (a, b, *values) chunks, a/b being row
+    positions in the segment. ``oversize(key, seg)`` (optional) returns
+    the cap a segment breaks (e.g. ``"max_block=100"``) or None; such
+    segments are skipped with ``_warn_skipped_group``.
+
+    The output carries, per ``ends`` entry ``col: (a_name, b_name)``,
+    column ``col`` of row a and of row b (gathered with Arrow ``take``,
+    so types survive), then the ``values`` columns, typed."""
+    t = t.sort_by([(key_col, "ascending"), ("id", "ascending")])
+    keys = _np_rows(t[key_col])
+    cols = {c: _np_rows(t[c]) for c in t.column_names
+            if c not in (key_col, "__bucket")}
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.append(starts, len(keys)))
+    parts = []
+    for s, m in zip(starts[sizes >= 2], sizes[sizes >= 2]):
+        key = int(keys[s]) % (1 << 64) if keys.dtype.kind == "i" else keys[s]
+        seg = {c: v[s : s + m] for c, v in cols.items()}
+        cap = oversize(key, seg) if oversize else None
+        if cap:
+            _warn_skipped_group(kind, key_col, key, int(m), cap)
+            continue
+        parts += [(s + a, s + b, *v) for a, b, *v in kernel(key, seg)]
+    if parts:
+        a, b, *vals = (np.concatenate(x) for x in zip(*parts))
+    else:
+        a = b = np.empty(0, dtype=np.int64)
+        vals = [np.empty(0)] * len(values)
+    out = {names[0]: t[c].take(a) for c, names in ends.items()}
+    out.update({names[1]: t[c].take(b) for c, names in ends.items()})
+    out.update({name: pa.array(v, type=typ)
+                for (name, typ), v in zip(values.items(), vals)})
+    return pa.table(out)
+
+
+def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
+                  width: int | None = None, **walk) -> ray.data.Dataset:
+    """Pairs from exploded (key, id, payload…) rows: ``bucketize`` on
+    ``walk["key_col"]``, one sort groupby over the buckets, and one
+    pyarrow ``walk_segments(**walk)`` call per bucket — not one call per
+    key. ``width`` repartitions in front of the groupby (see
+    ``_group_width``); None keeps the input's block count."""
+    b = bucketize(keyed, [walk["key_col"]], num_buckets)
+    if width:
+        b = b.repartition(width)
+    return b.groupby("__bucket").map_groups(
+        functools.partial(walk_segments, **walk), batch_format="pyarrow")

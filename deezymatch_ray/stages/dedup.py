@@ -9,11 +9,11 @@ the engine's own scale surface):
   group — one ``groupby`` shuffle, no driver materialization.
 - ``jaccard_near_dup``: EXACT word-shingle Jaccard near-dup. Candidate
   generation = share-a-shingle blocking (complete: J(a,b) > 0 ⟹ a and b
-  share a shingle), verification = exact Jaccard inside the block, and
-  each surviving pair is emitted exactly once — by the block whose key
-  equals the pair's lexicographically-smallest shared shingle — so no
-  pair-dedup shuffle is needed. Matches the brute-force SQL oracle
-  row-for-row.
+  share a shingle): each non-hot shingle's block emits every pair it
+  holds, so a pair arrives once per shared shingle, and one
+  ``groupby(pair).count`` turns the copies into the exact shared-shingle
+  count that the Jaccard verify needs. Matches the brute-force SQL
+  oracle row-for-row.
 - ``minhash_lsh_near_dup``: the 100 TB path. Docs → k-perm MinHash
   signatures → banded LSH keys → per-band candidate pairs → signature-
   estimated Jaccard filter; pairs dedup via min-band emission.
@@ -21,11 +21,13 @@ the engine's own scale surface):
   near-dup candidates from (r+1)-segment band blocking (Hamming ≤ r
   pairs must share one full segment — pigeonhole), verified by exact
   Hamming distance.
-- The three banded plans (both MinHash plans and SimHash near-dup)
-  share one pair-emission core, ``_banded_pairs``: exploded key rows
-  bucket on ``key mod shuffle_partitions`` and one Arrow UDF call per
-  bucket walks its key segments, applies the ``max_block`` skip and
-  runs the plan's vectorized verify kernel.
+- Every pair-emitting plan here (Jaccard, both MinHash plans, SimHash
+  near-dup and embedding LSH) emits through the segment core
+  ``blocking.segment_pairs``, which ranking's ``blocked_pairs`` shares:
+  exploded key rows ``bucketize`` on the key, and one Arrow UDF call
+  per bucket walks its key segments, skips (with a warning) the ones
+  past the plan's cap — embedding LSH sets none — and runs the plan's
+  vectorized verify kernel.
 - ``embedding_near_dup``: exact cosine over an embedding column against
   a broadcast matrix (valid while one side fits in the object store;
   the blocked/IVF variant is `ann.py`).
@@ -55,6 +57,13 @@ from deezymatch_ray.functions.dedup import (
     simhash64_batch,
     word_shingles,
     words,
+)
+from deezymatch_ray.stages.blocking import (
+    _cross_pairs,
+    _self_pairs,
+    _warn_skipped_group,  # noqa: F401 (the banded plans' skip warning)
+    bucketize,
+    segment_pairs,
 )
 
 
@@ -155,35 +164,6 @@ def _hot_member(h: np.ndarray, hot: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(hot, h)
     idx = np.minimum(idx, len(hot) - 1)
     return hot[idx] == h
-
-
-def _pair_index_chunks(left: np.ndarray, right: np.ndarray,
-                       target: int = 1 << 18):
-    """Yield (a_idx, b_idx) covering every left×right pair in slabs of
-    ~``target`` pairs, without ever materializing the full O(m²) index
-    arrays (~800 MB at a 10k block; per-chunk memory is O(target))."""
-    slab = max(1, target // max(len(right), 1))
-    for s0 in range(0, len(left) if len(right) else 0, slab):
-        a = np.repeat(left[s0 : s0 + slab], len(right))
-        yield a, np.tile(right, len(a) // len(right))
-
-
-def _self_pairs(seg: dict):
-    """Every i<j row pair of a banded segment, in bounded chunks;
-    duplicate input ids never self-pair."""
-    ids = seg["id"]
-    rows = np.arange(len(ids))
-    for a, b in _pair_index_chunks(rows, rows):
-        keep = (a < b) & (ids[a] != ids[b])
-        yield a[keep], b[keep]
-
-
-def _cross_pairs(seg: dict):
-    """Every NEW (side 1) × CORPUS (side 0) row pair of a banded
-    segment, in bounded chunks: new×new and corpus×corpus pairs are
-    never formed."""
-    return _pair_index_chunks(np.flatnonzero(seg["side"] == 1),
-                              np.flatnonzero(seg["side"] == 0))
 
 
 def _pack16(arr: np.ndarray) -> bytes:
@@ -310,36 +290,12 @@ def jaccard_near_dup(
 
     keyed = hashed.map_batches(explode, batch_format="pyarrow")
 
-    # --- per-shingle pair emission (bucketed; blocks ≤ max_block) ---
-    from deezymatch_ray.stages.ranking import bucketize
-
-    def emit_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"doc_a": [], "doc_b": []})
-        df = df.sort_values(["sh", "id"], kind="stable")
-        sh = df["sh"].to_numpy()
-        ids = df["id"].to_numpy()
-        starts = np.flatnonzero(np.concatenate([[True], sh[1:] != sh[:-1]]))
-        bounds = np.append(starts, len(df))
-        a_parts, b_parts = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            m = e - s
-            if m < 2:
-                continue
-            iu, il = np.triu_indices(m, 1)  # iu < il positionally
-            # ids sorted within segment → ids[s+iu] < ids[s+il] pins a < b
-            a_parts.append(ids[s + iu])
-            b_parts.append(ids[s + il])
-        if not a_parts:
-            return pd.DataFrame({"doc_a": [], "doc_b": []})
-        a = np.concatenate(a_parts)
-        b = np.concatenate(b_parts)
-        keep = a != b  # duplicate input ids never self-pair
-        return pd.DataFrame({"doc_a": a[keep], "doc_b": b[keep]})
-
-    pairs = bucketize(keyed, ["sh"], num_partitions).groupby("__bucket").map_groups(
-        lambda df: emit_pairs(df.drop(columns=["__bucket"])),
-        batch_format="pandas",
+    # --- per-shingle pair emission (blocks ≤ max_block by construction):
+    # every pair of a block, ids sorted so doc_a < doc_b ---
+    pairs = segment_pairs(
+        keyed, num_partitions, key_col="sh",
+        kernel=lambda key, seg: _self_pairs(seg),
+        ends={"id": ("doc_a", "doc_b")}, values={},
     )
 
     # --- exact non-hot intersection size per pair ---
@@ -469,24 +425,6 @@ def jaccard_near_dup(
     return cand.map_batches(finish, batch_format="pyarrow")
 
 
-def _warn_skipped_group(kind: str, key_name: str, key, m: int,
-                        max_block: int) -> None:
-    """Loud-by-default visibility for size-capped group skips (round-3
-    VERDICT #4): a degenerate key (boilerplate shingle/band) silently
-    losing its O(m²) pairs is a correctness trap for users who do not
-    pass ``stats_out``. Fires on the worker that hit the group; Ray
-    forwards worker warnings/stderr to the driver log."""
-    import warnings
-
-    warnings.warn(
-        f"{kind}: {key_name}={key!r} holds {m} rows > max_block="
-        f"{max_block}; its ~{m * (m - 1) // 2} candidate pairs are "
-        "SKIPPED. Pass stats_out= for a census of oversized groups, or "
-        "raise max_block if these pairs matter.",
-        stacklevel=2,
-    )
-
-
 def _band_group_stats(keyed: ray.data.Dataset, max_block: int,
                       stats_out: dict, key_col: str = "band_key") -> None:
     """One count-aggregation over the exploded band/segment keys: how
@@ -505,74 +443,26 @@ def _band_group_stats(keyed: ray.data.Dataset, max_block: int,
     ).count()
 
 
-def _np_rows(col: pa.ChunkedArray) -> np.ndarray:
-    """A column as NumPy rows; a fixed-size list becomes an [n, k]
-    matrix (``flatten`` honours slice offsets, ``.values`` would not)."""
-    arr = col.combine_chunks()
-    if pa.types.is_fixed_size_list(arr.type):
-        return arr.flatten().to_numpy().reshape(len(arr), arr.type.list_size)
-    return arr.to_numpy(zero_copy_only=False)
+def _banded(keyed: ray.data.Dataset, key_col: str, verify, names,
+            value: tuple[str, pa.DataType], max_block: int,
+            kind: str) -> ray.data.Dataset:
+    """A banded plan's pairs through the segment core: band/segment
+    groups of more than ``max_block`` rows are skipped with a warning,
+    and ``verify(key, seg)`` yields the (a, b, value) row positions."""
 
+    def oversize(key, seg):
+        return f"max_block={max_block}" if len(seg["id"]) > max_block else None
 
-def _banded_pairs(keyed: ray.data.Dataset, key_col: str, verify, empty,
-                  max_block: int, kind: str) -> ray.data.Dataset:
-    """The one pair-emission path of the banded plans (MinHash,
-    incremental MinHash, SimHash) over exploded (key_col, id, payload…)
-    rows.
-
-    Rows bucket on ``key mod P`` (P = ``shuffle_partitions``; the keys
-    are already 64-bit hashes, so a plain modulo spreads them) and ONE
-    pyarrow UDF call per bucket sorts by (key, id), splits the rows
-    into key segments and verifies each segment of 2..``max_block``
-    rows — not one pandas call per key. Segments past ``max_block``
-    are skipped with a worker-side warning.
-
-    ``verify(key, seg)`` gets the key as an unsigned int and the
-    segment's payload columns as id-sorted NumPy rows; it yields
-    (a, b, value) chunks, a/b being row positions in the segment.
-    ``empty(id_type)`` is the typed empty output: its three columns
-    name and type the emitted (id of a, id of b, value)."""
-    P = DEFAULT_CONFIG.execution.shuffle_partitions
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("__bucket", pa.array(b[key_col].to_numpy() % P))
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.sort_by([(key_col, "ascending"), ("id", "ascending")])
-        out = empty(t["id"].type)
-        keys = t[key_col].to_numpy()
-        cols = {c: _np_rows(t[c]) for c in t.column_names
-                if c not in (key_col, "__bucket")}
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        sizes = np.diff(np.append(starts, len(keys)))
-        parts = []
-        for s, m in zip(starts[sizes >= 2], sizes[sizes >= 2]):
-            if m > max_block:
-                _warn_skipped_group(kind, key_col, int(keys[s]), int(m),
-                                    max_block)
-                continue
-            seg = {c: v[s : s + m] for c, v in cols.items()}
-            parts += [(s + a, s + b, v)
-                      for a, b, v in verify(int(keys[s]) % (1 << 64), seg)]
-        if not parts:
-            return out
-        a, b, v = (np.concatenate(x) for x in zip(*parts))
-        return pa.table({
-            out.column_names[0]: t["id"].take(a),
-            out.column_names[1]: t["id"].take(b),
-            out.column_names[2]: pa.array(v, type=out.schema.field(2).type),
-        })
-
-    return (
-        keyed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return segment_pairs(
+        keyed, DEFAULT_CONFIG.execution.shuffle_partitions, key_col=key_col,
+        kernel=verify, oversize=oversize, kind=kind, ends={"id": names},
+        values=dict([value]),
     )
 
 
 def _minhash_verify(rows_per_band: int, n_bands: int, threshold: float,
                     pairs=_self_pairs):
-    """``_banded_pairs`` kernel of both MinHash plans over the segment
+    """Segment kernel of both MinHash plans over the segment
     row pairs ``pairs(seg)`` yields: signature equality, band ownership
     (the first fully-equal band owns the pair, so each pair is emitted
     by exactly one band group) and the estimate threshold evaluate as
@@ -672,11 +562,10 @@ def minhash_lsh_near_dup(
     )
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out)
-    return _banded_pairs(
+    return _banded(
         keyed, "band_key", _minhash_verify(k // n_bands, n_bands, threshold),
-        functools.partial(_empty_pair_table, "doc_a", "doc_b",
-                          val_name="est_jaccard"),
-        max_block, "minhash_lsh_near_dup",
+        ("doc_a", "doc_b"), ("est_jaccard", pa.float64()), max_block,
+        "minhash_lsh_near_dup",
     )
 
 
@@ -701,8 +590,6 @@ def exact_dedup_incremental(
     even in the (negligible) collision case.
     """
     import hashlib
-
-    from deezymatch_ray.stages.ranking import bucketize
 
     def project(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -771,12 +658,11 @@ def minhash_lsh_dedup_incremental(
     )
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out)
-    return _banded_pairs(
+    return _banded(
         keyed, "band_key",
         _minhash_verify(k // n_bands, n_bands, threshold, _cross_pairs),
-        functools.partial(_empty_pair_table, "new_id", "corpus_id",
-                          val_name="est_jaccard"),
-        max_block, "minhash_dedup_incremental",
+        ("new_id", "corpus_id"), ("est_jaccard", pa.float64()), max_block,
+        "minhash_dedup_incremental",
     )
 
 
@@ -858,10 +744,8 @@ def simhash_near_dup(
     keyed = ds.map_batches(explode, batch_format="pyarrow")
     if stats_out is not None:
         _band_group_stats(keyed, max_block, stats_out, key_col="seg_key")
-    return _banded_pairs(
-        keyed, "seg_key", verify,
-        functools.partial(_empty_pair_table, "doc_a", "doc_b",
-                          val_name="hamming", val_type=pa.int64()),
+    return _banded(
+        keyed, "seg_key", verify, ("doc_a", "doc_b"), ("hamming", pa.int64()),
         max_block, "simhash_near_dup",
     )
 
@@ -1016,72 +900,50 @@ def embedding_near_dup_lsh(
             expr=f"cnt > {max_block}"
         ).count()
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": [], "vec_b": [], "cos_sim": []})
-        out_a, out_b, out_s = [], [], []
-        for bk, g in df.groupby("bkey", sort=False):
-            m = len(g)
-            if m < 2:
-                continue
-            if m > max_block:
-                # never skipped (pairs would be lost) but no longer
-                # cheap either: a degenerate corpus (constant vectors)
-                # can put all n rows in one bucket per table, costing
-                # O(m²) exact cosine — be loud about it (r3 ADVICE)
-                import warnings
+    def verify(key: int, seg: dict):
+        m = len(seg["id"])
+        if m > max_block:
+            # never skipped (pairs would be lost) but no longer
+            # cheap either: a degenerate corpus (constant vectors)
+            # can put all n rows in one bucket per table, costing
+            # O(m²) exact cosine — be loud about it
+            import warnings
 
-                warnings.warn(
-                    f"embedding_near_dup_lsh: bucket {bk!r} holds {m} "
-                    f"rows > max_block={max_block}; verifying IN FULL "
-                    "(memory-bounded tiles, no pair loss) at O(m²) "
-                    "cosine cost. Raise n_bits/max_block or pre-dedup "
-                    "degenerate vectors if this recurs.",
-                    stacklevel=2,
-                )
-            order = np.argsort(g["id"].to_numpy(), kind="stable")
-            ids = g["id"].to_numpy()[order]
-            mat = np.stack(g["vec"].to_numpy()[order]).astype(np.float64)
-            nrm = np.linalg.norm(mat, axis=1)
-            col = np.arange(m)
-            # row tiles: the [tile, m] gemm slab + mask stay ~tens of MB
-            # no matter how large a skewed bucket grows (never a full
-            # O(m²) gram matrix, never a skip)
-            tile = max(1, (1 << 22) // m)
-            for r0 in range(0, m - 1, tile):
-                r1 = min(r0 + tile, m)
-                rows = np.arange(r0, r1)
-                sims = (mat[r0:r1] @ mat.T) / np.maximum(
-                    nrm[rows][:, None] * nrm[None, :], 1e-12
-                )
-                hit = (
-                    (sims >= threshold)
-                    & (col[None, :] > rows[:, None])
-                    & (ids[None, :] != ids[rows][:, None])
-                )
-                ri, ci = np.nonzero(hit)
-                out_a.append(ids[rows[ri]])
-                out_b.append(ids[ci])
-                out_s.append(sims[ri, ci])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        if len(a) == 0:
-            return empty
-        return pd.DataFrame({
-            "vec_a": a,
-            "vec_b": np.concatenate(out_b),
-            # Python round (correctly rounded) — np.round can land one ulp
-            # off DuckDB's round and break value-hash compares
-            "cos_sim": [round(float(v), round_to) for v in np.concatenate(out_s)],
-        })
+            warnings.warn(
+                f"embedding_near_dup_lsh: bucket {key!r} holds {m} "
+                f"rows > max_block={max_block}; verifying IN FULL "
+                "(memory-bounded tiles, no pair loss) at O(m²) "
+                "cosine cost. Raise n_bits/max_block or pre-dedup "
+                "degenerate vectors if this recurs.",
+                stacklevel=2,
+            )
+        ids = seg["id"]
+        mat = seg["vec"].astype(np.float64)
+        nrm = np.linalg.norm(mat, axis=1)
+        col = np.arange(m)
+        # row tiles: the [tile, m] gemm slab + mask stay ~tens of MB
+        # no matter how large a skewed bucket grows (never a full
+        # O(m²) gram matrix, never a skip)
+        tile = max(1, (1 << 22) // m)
+        for r0 in range(0, m - 1, tile):
+            r1 = min(r0 + tile, m)
+            rows = np.arange(r0, r1)
+            sims = (mat[r0:r1] @ mat.T) / np.maximum(
+                nrm[rows][:, None] * nrm[None, :], 1e-12
+            )
+            hit = (
+                (sims >= threshold)
+                & (col[None, :] > rows[:, None])
+                & (ids[None, :] != ids[rows][:, None])
+            )
+            ri, ci = np.nonzero(hit)
+            # Python round (correctly rounded) — np.round can land one
+            # ulp off DuckDB's round and break value-hash compares
+            yield rows[ri], ci, [round(float(v), round_to) for v in sims[ri, ci]]
 
-    from deezymatch_ray.stages.ranking import bucketize
-
-    per_bucket = bucketize(keyed, ["bkey"], num_partitions).groupby(
-        "__bucket"
-    ).map_groups(
-        lambda df: verify(df.drop(columns=["__bucket"])),
-        batch_format="pandas",
+    per_bucket = segment_pairs(
+        keyed, num_partitions, key_col="bkey", kernel=verify,
+        ends={"id": ("vec_a", "vec_b")}, values={"cos_sim": pa.float64()},
     )
     # global pair dedup: sims are identical across a pair's shared
     # buckets, so min == the value; the shuffle is over surviving pairs
@@ -1160,15 +1022,14 @@ def embedding_near_dup(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _empty_pair_table(a_name: str, b_name: str, id_type: pa.DataType,
-                      val_name: str = "cos_sim",
-                      val_type: pa.DataType = pa.float64()) -> pa.Table:
-    """Typed empty (a, b, value) output block — an untyped empty
+def _empty_pair_table(a_name: str, b_name: str,
+                      id_type: pa.DataType) -> pa.Table:
+    """Typed empty (a, b, cos_sim) output block — an untyped empty
     table would break the stream's schema union."""
     return pa.table({
         a_name: pa.array([], type=id_type),
         b_name: pa.array([], type=id_type),
-        val_name: pa.array([], type=val_type),
+        "cos_sim": pa.array([], type=pa.float64()),
     })
 
 

@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from deezymatch_ray.stages.blocking import bucketize
+
 
 def _np_col(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Column → numpy, tolerating chunking and nulls (NaT for ts)."""
@@ -55,8 +57,6 @@ def asof_join_latest(
     """Left rows + ``out_col`` = latest right ``ts_col`` before the left
     row's (strictly when ``strict``), NaT when the key has no earlier
     right row. Right side needs only (key, ts_col)."""
-    from deezymatch_ray.stages.ranking import bucketize
-
     lsch = left.schema()
     lcols = list(lsch.names)
     ltypes = dict(zip(lsch.names, lsch.types))

@@ -63,7 +63,15 @@ import ray
 import ray.data
 
 from deezymatch_ray.config import EngineConfig
-from deezymatch_ray.stages.blocking import DeriveBlockKeys
+from deezymatch_ray.stages.blocking import (
+    DeriveBlockKeys,
+    _group_width,
+    _role_pairs,
+    _self_pairs,
+    bucketize,
+    segment_pairs,
+    walk_segments,
+)
 from deezymatch_ray.stages.scoring import Embedder, PairScorer, emb_matrix
 
 RANK_SCHEMA_COLS = [
@@ -121,252 +129,106 @@ def prepare_side(
     )
 
 
-_FNV_PRIME = np.uint64(0x100000001B3)
+_TILE = "\x1ftile:"  # salted tile keys: "<block_key>\x1ftile:a-b"
 
 
-def _resolve_hash_backend() -> tuple[str, str | None]:
-    """Decide the bucket-hash backend ONCE (on the driver, at bucketize
-    call time) and ship the decision through the UDF closure. Deciding
-    per worker would let a heterogeneous cluster (polars on some nodes,
-    or mixed polars versions — ``pl.hash`` is only stable within one
-    version) silently send identical keys to different buckets, losing
-    cross-bucket matches in every bucketized groupby. Workers verify
-    the shipped decision and fail loudly on mismatch instead."""
-    try:
-        import polars as pl
-
-        return ("polars", pl.__version__)
-    except ImportError:
-        return ("pandas", None)
-
-
-def _hash_col_u64(col, backend: tuple[str, str | None]) -> np.ndarray:
-    """Vectorized per-row uint64 hash of one Arrow column, no Python
-    objects in the loop. polars' xxhash runs directly on the Arrow
-    buffers (zero-copy; ~3× faster than pandas' object-path siphash on
-    strings, ~100× on ints); ``backend`` is the driver's resolved
-    (name, version) — see ``_resolve_hash_backend``. Falls back to
-    pandas' fixed-key siphash when the driver had no polars."""
-    name, want_version = backend
-    if name == "polars":
-        try:
-            import polars as pl
-        except ImportError:
-            raise RuntimeError(
-                "bucketize hash backend mismatch: driver resolved polars "
-                f"{want_version} but this worker has no polars — "
-                "heterogeneous environments would silently split hash "
-                "buckets; install polars on every node or force the "
-                "pandas backend"
-            ) from None
-        if pl.__version__ != want_version:
-            raise RuntimeError(
-                "bucketize hash backend mismatch: driver polars "
-                f"{want_version} vs worker polars {pl.__version__} — "
-                "pl.hash is only stable within one version; a mixed-"
-                "version cluster would silently split hash buckets"
-            )
-        return pl.from_arrow(col).hash(seed=0).to_numpy()
-    return pd.util.hash_pandas_object(
-        col.to_pandas(), index=False
-    ).to_numpy().astype(np.uint64, copy=False)
-
-
-def _stable_bucket(batch: pa.Table, key_cols: list[str],
-                   num_buckets: int,
-                   backend: tuple[str, str | None] | None = None) -> np.ndarray:
-    """Process-stable hash buckets, fully vectorized (unlike the
-    per-process-salted Python ``hash()``): one 64-bit column hash per
-    key column, FNV-combined across columns in fixed order — the same
-    construction as the content hash in ``state/checkpoint``. Replaces
-    the round-3 per-row ``zlib.crc32(str(k))`` generator that fronted
-    every shuffle."""
-    if backend is None:
-        backend = _resolve_hash_backend()
-    acc = None
-    with np.errstate(over="ignore"):
-        for c in key_cols:
-            h = _hash_col_u64(batch[c], backend)
-            acc = h if acc is None else (acc ^ h) * _FNV_PRIME
-    return (acc % np.uint64(num_buckets)).astype(np.int64)
-
-
-def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
-              col: str = "__bucket") -> ray.data.Dataset:
-    """Append a stable hash-bucket column over one or more key columns.
-
-    Buckets bound the number of map_groups invocations: Ray's
-    map_groups calls the UDF once per group, so grouping directly on a
-    fine key (50k q-gram blocks, one million query ids) pays per-group
-    scheduling/pandas overhead that dwarfs the math. Grouping on
-    ``hash(key) % num_buckets`` keeps each key's rows together while the
-    UDF processes a whole bucket of groups vectorized.
-
-    Schema metadata is dropped: a pandas-format UDF upstream (e.g.
-    score_block_bucket) leaves ``pandas`` metadata that can name tensor
-    columns by Ray's pandas tensor dtype, and a bucket UDF's
-    ``to_pandas`` fails on any worker that has not imported that dtype
-    yet."""
-    backend = _resolve_hash_backend()  # driver-side; shipped in closure
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.replace_schema_metadata(None).append_column(
-            col,
-            pa.array(_stable_bucket(batch, key_cols, num_buckets, backend)),
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def score_block_bucket(df: pd.DataFrame, *, cfg: EngineConfig,
-                       self_join: bool = False,
-                       keep_per_query: int | None = None) -> pd.DataFrame:
-    """Score ALL blocks inside one hash bucket, vectorized across blocks.
-
-    Emits (query_id, query, candidate_id, candidate, faiss_dist,
-    cosine_dist) for within-block query×candidate pairs. Per-block
-    Python work is O(#blocks) tiny index constructions; every distance /
-    mask / top-k runs once over the bucket's full pair set. When the
-    metric is distance-based, pairs over the selection threshold are
-    dropped here (monotone filter — they can never enter the final
-    result), bounding what the final shuffle carries. Per-(block, query)
-    pre-top-k is sound because global top-k ⊆ union of per-block top-k.
-    """
-    r = cfg.ranking
-    keep = keep_per_query or r.num_candidates
-    out_cols = ["query_id", "query", "candidate_id", "candidate",
-                "faiss_dist", "cosine_dist"]
-    empty = pd.DataFrame({c: [] for c in out_cols})
-    if len(df) == 0:
-        return empty
-    if "__bucket" in df.columns:
-        df = df.drop(columns=["__bucket"])
-    df = df.sort_values("block_key", kind="stable").reset_index(drop=True)
-    bk = df["block_key"].to_numpy()
-    starts = np.flatnonzero(np.concatenate([[True], bk[1:] != bk[:-1]]))
-    bounds = np.append(starts, len(df))
-    valid = df["emb_valid"].to_numpy()
-    has_roles = "role" in df.columns
-    roles = df["role"].to_numpy() if has_roles else None
-    qi_parts, ci_parts = [], []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        n = e - s
-        if self_join:
-            # Salted tiles (key contains the tile marker) are EXEMPT from
-            # the size caps: salt_hot_blocks already bounded them (groups
-            # sized with 2× headroom), and skipping one here would silently
-            # lose every pair the tile owns — the caps only police
-            # organically oversized *unsalted* blocks, whose drop is
-            # surfaced in block stats.
-            is_tile = "\x1ftile:" in str(bk[s])
-            # salted cross-tiles carry two roles (q = lower tile group,
-            # c = upper); plain blocks / diagonal tiles are all-"q"
-            if has_roles and (roles[s:e] == "c").any():
-                qs = s + np.flatnonzero(roles[s:e] == "q")
-                cs = s + np.flatnonzero(roles[s:e] == "c")
-                if len(qs) == 0 or len(cs) == 0:
-                    continue
-                qi_parts.append(np.repeat(qs, len(cs)))
-                ci_parts.append(np.tile(cs, len(qs)))
-                continue
-            if n < 2:
-                continue
-            if not is_tile and (
-                    n > cfg.blocking.max_block_size
-                    or n * (n - 1) // 2 > cfg.blocking.max_pairs_per_block):
-                continue
-            iu, il = np.triu_indices(n, 1)
-            qi_parts.append(iu + s)
-            ci_parts.append(il + s)
-        else:
-            qs = s + np.flatnonzero(roles[s:e] == "q")
-            cs = s + np.flatnonzero(roles[s:e] == "c")
-            if len(qs) == 0 or len(cs) == 0:
-                continue
-            if (max(len(qs), len(cs)) > cfg.blocking.max_block_size
-                    or len(qs) * len(cs) > cfg.blocking.max_pairs_per_block):
-                # oversized block: a key this common carries no signal and
-                # would cost O(n²) — skip per the documented skew policy
-                continue
-            qi_parts.append(np.repeat(qs, len(cs)))
-            ci_parts.append(np.tile(cs, len(qs)))
-    if not qi_parts:
-        return empty
-    # --- per-pair distances via per-BLOCK gram matmuls ---------------
-    # (the previous plan gathered [P, d] float64 matrices for the full
-    # bucket pair set — multi-GB temporaries at ~10M pairs; the gram
-    # form computes the same float64 ||a||² + ||b||² − 2·a·b that
-    # _GlobalTopK uses, per pair gathers only SCALARS, and runs on BLAS)
-    emb64 = np.stack(df["emb"].to_numpy()).astype(np.float64)
-    nrm2 = (emb64 * emb64).sum(axis=1)
+def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
+    """``walk_segments`` arguments of ranking's blocked pairs: the
+    oversize predicate and the gram-distance kernel. Emits (query_id,
+    query, candidate_id, candidate, faiss_dist, cosine_dist) for the
+    within-block query × candidate pairs: every unordered pair of a
+    self-join block (canonical query_id < candidate_id), the q × c rows
+    of a salted cross-tile or of a ``self_join=False`` block."""
+    caps, r = cfg.blocking, cfg.ranking
     want_cos = r.calc_cosine or r.ranking_metric == "cosine"
-    nrm = np.sqrt(nrm2) if want_cos else None
-    pair_ids = df["id"].to_numpy()
-    lens = (df["norm_text"].str.len().to_numpy()
-            if r.length_diff is not None else None)
-    kq, kc, kf, kcs = [], [], [], []
-    for qi, ci in zip(qi_parts, ci_parts):
-        m = valid[qi] & valid[ci]
-        qi, ci = qi[m], ci[m]
-        if len(qi) == 0:
-            continue
+    by_metric = r.ranking_metric in ("faiss", "cosine")
+
+    def oversize(key, seg):
+        # salted tiles are EXEMPT: salt_hot_blocks already bounded them
+        # (groups sized with 2× headroom), and skipping one would lose
+        # every pair the tile owns
+        if _TILE in key:
+            return None
         if self_join:
-            # canonical orientation (query_id < candidate_id): row order
-            # inside a block is partition-dependent, so the same
-            # unordered pair could otherwise surface in both
-            # orientations from different blocks and evade dedup_pairs
-            swap = pair_ids[qi] > pair_ids[ci]
-            qi2 = np.where(swap, ci, qi)
-            ci2 = np.where(swap, qi, ci)
-            qi, ci = qi2, ci2
-        # the block's member set is small: gather unique rows once,
-        # matmul, then index the gram by local pair positions
-        uniq, inv = np.unique(np.concatenate([qi, ci]), return_inverse=True)
-        li, lj = inv[: len(qi)], inv[len(qi):]
-        E = emb64[uniq]
-        G = E @ E.T
-        dot = G[li, lj]
-        faiss_d = nrm2[qi] + nrm2[ci] - 2.0 * dot
+            n = len(seg["id"])
+            big, pairs = n, n * (n - 1) // 2
+        else:
+            nq = int((seg["role"] == "q").sum())
+            nc = len(seg["role"]) - nq
+            big, pairs = max(nq, nc), nq * nc
+        if pairs and big > caps.max_block_size:
+            return f"max_block_size={caps.max_block_size}"
+        if pairs > caps.max_pairs_per_block:
+            return f"max_pairs_per_block={caps.max_pairs_per_block}"
+        return None
+
+    def kernel(key, seg):
+        cross = not self_join or ("role" in seg and (seg["role"] == "c").any())
+        chunks = list((_role_pairs if cross else _self_pairs)(seg))
+        if not chunks:
+            return
+        a, b = (np.concatenate(x) for x in zip(*chunks))
+        valid = seg["emb_valid"]
+        m = valid[a] & valid[b]
+        a, b = a[m], b[m]
+        if self_join:
+            # canonical orientation (query_id < candidate_id; rows are
+            # id-sorted), so a pair surfacing in several blocks meets
+            # itself in dedup_pairs
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        # per-block gram matmul: the same float64 ||a||² + ||b||² − 2·a·b
+        # that _GlobalTopK uses, gathering only scalars per pair
+        emb = seg["emb"].astype(np.float64)
+        nrm2 = (emb * emb).sum(axis=1)
+        dot = (emb @ emb.T)[a, b]
+        faiss_d = nrm2[a] + nrm2[b] - 2.0 * dot
         np.maximum(faiss_d, 0.0, out=faiss_d)
         faiss_d = faiss_d.astype(np.float32)
         if want_cos:
-            cos_d = (1.0 - dot / np.maximum(nrm[qi] * nrm[ci], 1e-10)).astype(np.float32)
+            nrm = np.sqrt(nrm2)
+            cos_d = (1.0 - dot / np.maximum(nrm[a] * nrm[b], 1e-10)).astype(np.float32)
         else:
-            cos_d = np.full(len(qi), np.nan, dtype=np.float32)
+            cos_d = np.full(len(a), np.nan, dtype=np.float32)
+        keep = np.ones(len(a), dtype=bool)
         if r.length_diff is not None:
-            m = np.abs(lens[qi] - lens[ci]) <= r.length_diff
-            qi, ci, faiss_d, cos_d = qi[m], ci[m], faiss_d[m], cos_d[m]
-        if r.ranking_metric in ("faiss", "cosine"):
-            metric = faiss_d if r.ranking_metric == "faiss" else cos_d
-            m = metric <= r.selection_threshold
-            qi, ci, faiss_d, cos_d = qi[m], ci[m], faiss_d[m], cos_d[m]
-        if len(qi):
-            kq.append(qi)
-            kc.append(ci)
-            kf.append(faiss_d)
-            kcs.append(cos_d)
-    if not kq:
-        return empty
-    qi = np.concatenate(kq)
-    ci = np.concatenate(kc)
-    faiss_d = np.concatenate(kf)
-    cos_d = np.concatenate(kcs)
-    ids = df["id"].to_numpy()
-    origs = df["orig"].to_numpy()
-    out = pd.DataFrame({
-        "query_id": ids[qi], "query": origs[qi],
-        "candidate_id": ids[ci], "candidate": origs[ci],
-        "faiss_dist": faiss_d, "cosine_dist": cos_d,
-        "__bk": bk[qi],
-    })
-    if r.ranking_metric in ("faiss", "cosine"):
-        mcol = _metric_column(r.ranking_metric)
-        out = (
-            out.sort_values([mcol, "candidate_id"], kind="stable")
-            .groupby(["__bk", "query_id"], sort=False)
-            .head(keep)
-        )
-    return out.drop(columns=["__bk"]).reset_index(drop=True)
+            lens = np.array([np.nan if s is None else len(s)
+                             for s in seg["norm_text"]])
+            keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
+        metric = faiss_d if r.ranking_metric == "faiss" else cos_d
+        if by_metric:
+            # monotone filter: pairs over the threshold never enter the
+            # result, so the pair shuffle does not carry them
+            keep &= metric <= r.selection_threshold
+        a, b, faiss_d, cos_d, metric = (
+            x[keep] for x in (a, b, faiss_d, cos_d, metric))
+        if by_metric:
+            # per-(block, query) top-k by (metric, candidate_id): sound
+            # because the global top-k ⊆ the union of per-block top-k
+            o = np.lexsort((b, metric, a))
+            a, b, faiss_d, cos_d = (x[o] for x in (a, b, faiss_d, cos_d))
+            pos = np.arange(len(a))
+            first = np.maximum.accumulate(
+                np.where(np.r_[True, a[1:] != a[:-1]], pos, 0))
+            top = pos - first < r.num_candidates
+            a, b, faiss_d, cos_d = (x[top] for x in (a, b, faiss_d, cos_d))
+        yield a, b, faiss_d, cos_d
+
+    return dict(
+        key_col="block_key", kernel=kernel, oversize=oversize,
+        kind="blocked_pairs",
+        ends={"id": ("query_id", "candidate_id"), "orig": ("query", "candidate")},
+        values={"faiss_dist": pa.float32(), "cosine_dist": pa.float32()},
+    )
+
+
+def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
+                       self_join: bool = False) -> pa.Table:
+    """Score every block of one hash bucket (``blocked_pairs``' per-bucket
+    step, callable in-process): one ``walk_segments`` pass with the
+    ranking kernel. Blocks over ``max_block_size`` members or
+    ``max_pairs_per_block`` pairs are skipped with a warning, except
+    salted tiles."""
+    return walk_segments(t, **_block_walk(cfg, self_join))
 
 
 def select_bucket(df: pd.DataFrame, *, cfg: EngineConfig) -> pd.DataFrame:
@@ -507,8 +369,8 @@ def salt_hot_blocks(
     from score_block_bucket's size caps (they are already bounded here),
     making the every-pair-exactly-once guarantee unconditional. Blocks
     needing more than ``salt_max_tiles`` groups are dropped (their key
-    carries no signal at that frequency) and remain visible in the
-    block-size histogram (stages/blocking.block_stats).
+    carries no signal at that frequency) with one driver-side warning
+    giving the number of dropped keys and their keyed rows.
 
     The hot-key census is Arrow end to end: each batch is reduced to
     one (block_key, n) row per distinct key by an Arrow group_by, so
@@ -521,6 +383,7 @@ def salt_hot_blocks(
     keyed rows one by one.
     """
     import math
+    import warnings
     import zlib
 
     from ray.data.aggregate import Sum
@@ -549,11 +412,21 @@ def salt_hot_blocks(
         hot_rows = [(r["block_key"], r["n"])
                     for r in sizes.filter(expr=f"n > {cap}").take_all()]
     target = max(1, cap // 2)
-    tiles = {k: math.ceil(n / target) for k, n in hot_rows}
+    sizes = dict(hot_rows)
+    tiles = {k: math.ceil(n / target) for k, n in sizes.items()}
     if not tiles:
         return keyed
     hot = {k: s for k, s in tiles.items()
            if s <= cfg.blocking.salt_max_tiles}
+    if len(hot) < len(tiles):
+        warnings.warn(
+            f"salt_hot_blocks: {len(tiles) - len(hot)} block keys need more "
+            f"than salt_max_tiles={cfg.blocking.salt_max_tiles} tile groups; "
+            f"their {sum(n for k, n in sizes.items() if k not in hot)} keyed "
+            "rows are SKIPPED (no pairs). Raise salt_max_tiles or "
+            "max_block_size if these pairs matter.",
+            stacklevel=2,
+        )
     # the hot keys with their tile counts, and the keys dropped for
     # needing more than salt_max_tiles
     hot_ref = ray.put((
@@ -601,28 +474,14 @@ def salt_hot_blocks(
     return keyed.map_batches(explode, batch_format="pyarrow")
 
 
-def _group_width(cfg: EngineConfig) -> int:
-    """Block count in front of a bucketed sort groupby. Ray's sort
-    shuffle runs one map and one reduce task per input block, so the
-    width is set here, not inherited: a ``from_arrow`` side or one small
-    parquet file arrives as 1-2 blocks and would score in 1-2 tasks on
-    any cluster, while a fixed 64-way split makes a one-core job pay a
-    64 × 64 fan-out for nothing. min(buckets, cluster CPUs) gives every
-    CPU a reduce task; more blocks than buckets would leave some empty."""
-    cpus = int(ray.cluster_resources().get("CPU", 1)) or 1
-    return min(cfg.execution.shuffle_partitions, cpus)
-
-
 def blocked_pairs(
     keyed: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
-    keep_per_query: int | None = None,
 ) -> ray.data.Dataset:
-    """keyed (block_key + payload) rows → scored within-block pairs.
-
-    Hash-buckets block keys (bounded map_groups invocations, vectorized
-    bucket scoring) and sets the sort shuffle's width first (see
-    _group_width). Self-join inputs get hot blocks tile-salted first
-    (salt_hot_blocks).
+    """keyed (block_key + payload) rows → scored within-block pairs,
+    through the segment core (``blocking.segment_pairs``: hash buckets
+    of block keys, one ``score_block_bucket`` call per bucket) behind a
+    sort shuffle of ``_group_width`` blocks. Self-join inputs get hot
+    blocks tile-salted first (salt_hot_blocks).
 
     ``keyed`` is materialized first when salting is on: the hot-key
     census, the salted re-emit and the pair groupby would otherwise each
@@ -632,12 +491,8 @@ def blocked_pairs(
     since the alternative is recomputing the most expensive stage."""
     if self_join and cfg.blocking.salt_hot_blocks:
         keyed = salt_hot_blocks(keyed.materialize(), cfg)
-    b = bucketize(keyed, ["block_key"], cfg.execution.shuffle_partitions)
-    return b.repartition(_group_width(cfg)).groupby("__bucket").map_groups(
-        functools.partial(score_block_bucket, cfg=cfg, self_join=self_join,
-                          keep_per_query=keep_per_query),
-        batch_format="pandas",
-    )
+    return segment_pairs(keyed, cfg.execution.shuffle_partitions,
+                         width=_group_width(cfg), **_block_walk(cfg, self_join))
 
 
 def rank_pairs(pairs: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:

@@ -103,23 +103,58 @@ def test_average_precision_matches_manual():
     assert average_precision(np.zeros(3, dtype=bool), np.arange(3.0)) == 0.0
 
 
-def _numpy_map(df, seed=123):
-    """MAP recount: per-query AP under the seeded tie permutation,
-    skipping queries without a positive (utils.py:83-93)."""
+def test_confusion_counts_executes_its_input_once(tmp_path):
+    """The four counts come from one aggregate: the scored input (a
+    model stage in api.inference) runs once, not once per count."""
+    def mark(batch: pa.Table) -> pa.Table:
+        import uuid
+
+        (tmp_path / uuid.uuid4().hex).touch()
+        return batch
+
+    tbl = pa.table({
+        "label": pa.array([True, True, True, False, False, False]),
+        "pred": pa.array([True, True, False, False, False, True]),
+    })
+    ds = ray.data.from_arrow([tbl.slice(0, 2), tbl.slice(2, 2), tbl.slice(4)])
+    c = confusion_counts(ds.map_batches(mark, batch_format="pyarrow"))
+    assert c == {"tp": 2, "fp": 1, "tn": 2, "fn": 1}
+    assert len(list(tmp_path.iterdir())) == 3  # one marker per block
+
+
+def test_map_does_not_depend_on_row_order_with_nan_scores():
+    """NaN scores (PairScorer's invalid legs) are one tie run ranked
+    last, so a group's MAP is the same in every arrival order: scores
+    0.9+, 0.4-, 0.2-, then NaN with 2 positives and 1 negative give
+    AP = 1/3 · 1 + 2/3 · 3/6."""
+    from deezymatch_ray.functions.metrics import map_score
+
+    tbl = pa.table({
+        "s1": pa.array(["q"] * 6),
+        "label": pa.array([True, False, False, True, True, False]),
+        "pred_score": pa.array([0.9, 0.4, 0.2, np.nan, np.nan, np.nan]),
+    })
+    rng = np.random.default_rng(0)
+    got = [map_score(ray.data.from_arrow(tbl.take(rng.permutation(6))))
+           for _ in range(8)]
+    assert len(set(got)) == 1 and got[0] == pytest.approx(2 / 3), got
+
+
+def _numpy_map(df):
+    """MAP recount: per-query AP, skipping queries without a positive
+    (utils.py:88-93)."""
     aps = []
     for _, g in df.groupby("s1", sort=False):
         y = g["label"].to_numpy(dtype=bool)
         if y.any():
-            perm = np.random.default_rng(seed).permutation(len(g))
-            aps.append(average_precision(y[perm],
-                                         g["pred_score"].to_numpy()[perm]))
+            aps.append(average_precision(y, g["pred_score"].to_numpy()))
     return float(np.mean(aps))
 
 
 def test_api_inference_map_matches_numpy_recount(tiny_model_dir):
     """api.inference(calc_map=True) over 320 queries, each with one
     positive, five negatives and a duplicated row, equals a NumPy
-    recount of the scored rows under the same seeded permutation."""
+    recount of the scored rows."""
     from deezymatch_ray.data.synth import make_labeled_pairs
 
     d, cfg, _ = tiny_model_dir

@@ -271,6 +271,51 @@ def test_census_sums_hot_key_counts_across_blocks(census_limit):
     assert key(got) == key(want)
 
 
+@pytest.mark.parametrize("self_join", [True, False], ids=["self", "qxc"])
+def test_oversized_block_warns_and_skips(self_join):
+    """No silent drops: with salting off, a block over max_block_size
+    (or over max_pairs_per_block) is skipped with a warning naming it,
+    in the self-join path and in the query × candidate role path; with
+    the caps raised the same input pairs in full. With salting on, a
+    block past salt_max_tiles is dropped with one driver-side warning
+    giving the dropped keys and rows."""
+    from deezymatch_ray.stages.ranking import blocked_pairs, score_block_bucket
+
+    n = 12
+    tbl = _self_rows("big", [f"d{i:02d}" for i in range(n)],
+                     np.random.default_rng(2))
+    if self_join:
+        want = n * (n - 1) // 2
+    else:
+        tbl = tbl.append_column("role", pa.array(["q"] * 5 + ["c"] * 7))
+        want = 5 * 7
+    base = DEFAULT_CONFIG.replace(ranking=dataclasses.replace(
+        DEFAULT_CONFIG.ranking, selection_threshold=1e9,
+        num_candidates=10**6))
+
+    def cfg(cap, pairs=10**6, salt=False, tiles=64):
+        return base.replace(blocking=dataclasses.replace(
+            base.blocking, max_block_size=cap, max_pairs_per_block=pairs,
+            salt_hot_blocks=salt, salt_max_tiles=tiles))
+
+    for c, cap in [(cfg(6), "max_block_size=6"),
+                   (cfg(n, pairs=10), "max_pairs_per_block=10")]:
+        with pytest.warns(UserWarning, match=f"'big'.*{cap}.*SKIPPED"):
+            out = score_block_bucket(tbl, cfg=c, self_join=self_join)
+        assert out.num_rows == 0
+        assert blocked_pairs(ray.data.from_arrow(tbl), c,
+                             self_join=self_join).count() == 0
+    got = blocked_pairs(ray.data.from_arrow(tbl), cfg(n),
+                        self_join=self_join).to_pandas()
+    assert len(got) == want
+    assert not got.duplicated(subset=["query_id", "candidate_id"]).any()
+    if self_join:
+        with pytest.warns(UserWarning, match="1 block keys.*12 keyed rows"):
+            dropped = blocked_pairs(ray.data.from_arrow(tbl),
+                                    cfg(2, salt=True, tiles=2), self_join=True)
+        assert dropped.count() == 0
+
+
 def test_hot_block_beyond_salt_cap_is_dropped_not_wedged():
     import dataclasses
 
@@ -381,7 +426,7 @@ def test_bucketize_hash_backend_version_guard():
     once on the driver and shipped through the closure; a worker whose
     polars version differs must fail loudly (silently splitting hash
     buckets loses cross-bucket matches in every bucketized groupby)."""
-    from deezymatch_ray.stages.ranking import (
+    from deezymatch_ray.stages.blocking import (
         _hash_col_u64,
         _resolve_hash_backend,
         _stable_bucket,
@@ -413,7 +458,8 @@ def test_bucketized_salted_rows_convert_to_pandas_in_a_fresh_process(tmp_path):
     import subprocess
     import sys
 
-    from deezymatch_ray.stages.ranking import bucketize, salt_hot_blocks
+    from deezymatch_ray.stages.blocking import bucketize
+    from deezymatch_ray.stages.ranking import salt_hot_blocks
 
     cfg = DEFAULT_CONFIG.replace(
         blocking=dataclasses.replace(DEFAULT_CONFIG.blocking,
@@ -487,9 +533,12 @@ def test_shuffle_width_does_not_change_results(n_blocks):
         keyed = ray.data.from_arrow(tbl.take(perm)).repartition(n_blocks)
     assert keyed.materialize().num_blocks() == n_blocks
 
-    salted = salt_hot_blocks(ray.data.from_arrow(tbl), cfg).to_pandas()
+    salted_ds = salt_hot_blocks(ray.data.from_arrow(tbl), cfg).materialize()
+    salted = salted_ds.to_pandas()
     assert salted["block_key"].str.startswith("hot\x1ftile:").any()
-    want_pairs = (score_block_bucket(salted, cfg=cfg, self_join=True)
+    want_pairs = (score_block_bucket(
+        pa.concat_tables(ray.get(salted_ds.to_arrow_refs())),
+        cfg=cfg, self_join=True).to_pandas()
                   .drop_duplicates(subset=["query_id", "candidate_id"]))
     want_rank = select_bucket(want_pairs, cfg=cfg)
 
