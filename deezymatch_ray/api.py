@@ -233,7 +233,9 @@ def inference(
     order-preserving and is materialized here (bounded by the cutoff).
     With ``cutoff=None`` (default) every row is scored and invalid rows
     stay in the output flagged (NaN score / emb_valid=False) rather
-    than dropped."""
+    than dropped. In test mode the scored set is materialized here, so
+    the writer, the metrics and the caller read one execution of the
+    scorer."""
     weights_ref, vocab_ref, meta, mcfg = load_model_artifacts(model_dir)
     cfg = (cfg or DEFAULT_CONFIG).replace(tokenization=mcfg.tokenization)
     pairs_ds = _as_pairs_ds(pairs, one_column=one_column)
@@ -254,14 +256,11 @@ def inference(
             })
 
         out = pairs_ds.map_batches(norm, batch_format="pyarrow").map_batches(
-            Embedder,
-            fn_constructor_kwargs=dict(
-                weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-                text_col="norm_text", preprocessing=cfg.preprocessing,
-                tokenization=cfg.tokenization),
+            Embedder(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+                     text_col="norm_text", preprocessing=cfg.preprocessing,
+                     tokenization=cfg.tokenization),
             batch_format="pyarrow",
             batch_size=cfg.execution.score_batch_size,
-            concurrency=cfg.execution.score_concurrency,
         )
         if cutoff is not None:
             out = _materialize_ordered(
@@ -271,14 +270,11 @@ def inference(
             out.write_parquet(output_path)
         return out, {}
     scored = pairs_ds.map_batches(
-        PairScorer,
-        fn_constructor_kwargs=dict(
-            weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-            s1_col="s1", s2_col="s2", with_classical=False,
-            preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
+        PairScorer(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+                   s1_col="s1", s2_col="s2", with_classical=False,
+                   preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
         batch_format="pyarrow",
         batch_size=cfg.execution.score_batch_size,
-        concurrency=cfg.execution.score_concurrency,
     )
 
     def finalize(batch):
@@ -300,6 +296,10 @@ def inference(
         scored = _materialize_ordered(
             scored.map_batches(drop_invalid, batch_format="pyarrow").limit(cutoff)
         )
+    else:
+        # the scorer runs once: the writer, the metrics and the caller
+        # all read this one result
+        scored = scored.materialize()
     if output_path:
         scored.write_parquet(output_path)  # S6 writer, parquet not TSV
     metrics: dict = {}

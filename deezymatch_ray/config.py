@@ -135,10 +135,9 @@ class ExecutionConfig:
     # 1024 ran 0.4-1.4 s faster per job, also inside the benchmark's
     # RSS bound; 4096 was not (BASELINE.md §Scorer batch size)
     score_batch_size: int = 256
-    # Autoscaling actor-pool bounds (min, max): a fixed-size pool larger
-    # than the cluster's free CPUs deadlocks Ray Data's ActorPoolMapOperator
-    # while it waits for all actors to schedule; (1, N) starts work with
-    # whatever fits and scales up to N as resources allow.
+    # Read only by perfbench's single_pass probe, which builds an actor
+    # pool of PairScorer with these (min, max) bounds; the library runs
+    # every stage as tasks and never reads it.
     score_concurrency: tuple[int, int] = (1, 8)
     # hash-bucket count for fine-keyed groupbys (block keys, query ids,
     # pair dedup, band keys): bounds map_groups calls. It is not the

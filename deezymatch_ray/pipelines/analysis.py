@@ -521,8 +521,8 @@ def _media_store(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_media_features(sf_dir: str) -> ray.data.Dataset:
-    """Multimodal decode over driver data: media store → decode actor
-    pool → (media_ref, mime, decode_ok). PNG payloads decode real
+    """Multimodal decode over driver data: media store → decode stage
+    → (media_ref, mime, decode_ok). PNG payloads decode real
     pixels; audio/video remain digest-stubbed (stages/multimodal.py)."""
     from deezymatch_ray.stages.multimodal import decode_media
 

@@ -424,14 +424,10 @@ def link_documents(
     # times; dedup BEFORE the model re-scores, keeping each pair's
     # lowest-distance copy
     pairs = dedup_pairs(pairs, cfg.execution.shuffle_partitions)
-    from deezymatch_ray.stages.scoring import CachedStage, PairScorer
+    from deezymatch_ray.stages.scoring import PairScorer
 
-    # task pool + per-worker stage cache: the scorer's state is a
-    # zero-copy plasma fetch, so an actor pool would only add its
-    # per-run process forks (~20 s at 32 CPUs) to the flagship
     scored = pairs.map_batches(
-        CachedStage.of(
-            PairScorer,
+        PairScorer(
             weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
             s1_col="query", s2_col="candidate", with_classical=True,
             # ids + scores only: the edge filter never reads the pair

@@ -8,14 +8,15 @@ first-class pipeline citizen:
   content: binary)`` — payload is an opaque binary column; Ray/Arrow
   moves it zero-copy, and ``batch_size`` is the memory knob (large
   payloads → small batches; see ``media_batch_size``).
-- ``MediaDecoder`` / ``ImageResizer`` / ``FrameSampler``: actor-pool
-  ``map_batches`` stages with REAL Ray-side plumbing (schema, batching,
-  actor lifecycle). The pixel codecs themselves are not installable in
-  this sandbox, so the decode kernel is STUBBED: ``backend="fake"``
-  (default) derives deterministic per-payload features from a blake2b
-  digest — stable across actors/runs, so the stages are fully testable —
-  while ``backend="pil"``-style real codecs raise ``NotImplementedError``
-  with the integration point documented.
+- ``MediaDecoder`` / ``ImageResizer`` / ``FrameSampler``: callable
+  stages passed to ``map_batches`` as instances (task pool) with REAL
+  Ray-side plumbing (schema, batching). Their state is a few scalars,
+  so nothing is worth a long-lived actor. The pixel codecs themselves
+  are not installable in this sandbox, so the decode kernel is STUBBED:
+  ``backend="fake"`` derives deterministic per-payload features from a
+  blake2b digest — stable across workers/runs, so the stages are fully
+  testable — while ``backend="pil"``-style real codecs raise
+  ``NotImplementedError`` with the integration point documented.
 
 Design note (SURVEY §7.4 wide-row rule): media bytes NEVER enter the
 text blocking/scoring stages; they join back by ``media_ref`` only at
@@ -118,7 +119,7 @@ def _pixel_features(px: np.ndarray, dim: int) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor stage: (media_ref, mime, content, …) → append ``features``
+    """Stage: (media_ref, mime, content, …) → append ``features``
     fixed_size_list<float32>[dim] + ``decode_ok`` bool.
 
     ``backend="auto"`` (default): payloads with a PNG signature decode
@@ -136,7 +137,7 @@ class MediaDecoder:
             raise NotImplementedError(
                 f"backend={backend!r}: audio/video codecs are not installable "
                 "in this sandbox; implement _decode() with PIL/torchaudio/"
-                "pyav here — the surrounding actor-pool stage is unchanged"
+                "pyav here — the surrounding map_batches stage is unchanged"
             )
         self.backend = backend
 
@@ -175,7 +176,7 @@ class MediaDecoder:
 
 
 class ImageResizer:
-    """Actor stage: images → append (out_width, out_height) metadata of
+    """Stage: images → append (out_width, out_height) metadata of
     an aspect-preserving fit into ``max_side`` × ``max_side``; non-images
     pass through with zeros.
 
@@ -230,7 +231,7 @@ class ImageResizer:
 
 
 class FrameSampler:
-    """Actor stage: videos → EXPLODE to one row per sampled frame
+    """Stage: videos → EXPLODE to one row per sampled frame
     (media_ref, frame_idx, ts_ms), evenly spaced over duration_ms;
     non-videos emit no rows. More rows out than in — the vectorized
     flat_map shape."""
@@ -260,15 +261,9 @@ class FrameSampler:
 def decode_media(
     media: ray.data.Dataset,
     dim: int = 64,
-    concurrency: tuple[int, int] = (1, 8),
     batch_size: int | None = 64,
 ) -> ray.data.Dataset:
-    """The decode stage wired as an actor pool (small batches: payloads
-    are large; see media_batch_size)."""
-    return media.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs=dict(dim=dim),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    """The decode stage as tasks (small batches: payloads are large;
+    see media_batch_size)."""
+    return media.map_batches(MediaDecoder(dim=dim), batch_format="pyarrow",
+                             batch_size=batch_size)

@@ -111,19 +111,10 @@ def prepare_side(
             "norm_text": norm,
         })
 
-    out = ds.map_batches(norm_batch, batch_format="pyarrow")
-    # task pool + per-worker stage cache (scoring.CachedStage): model
-    # state is a zero-copy plasma fetch, so an actor pool would only add
-    # its per-run process forks to every ranking pipeline
-    from deezymatch_ray.stages.scoring import CachedStage
-
-    return out.map_batches(
-        CachedStage.of(
-            Embedder,
-            weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-            text_col="norm_text", preprocessing=cfg.preprocessing,
-            tokenization=cfg.tokenization,
-        ),
+    return ds.map_batches(norm_batch, batch_format="pyarrow").map_batches(
+        Embedder(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+                 text_col="norm_text", preprocessing=cfg.preprocessing,
+                 tokenization=cfg.tokenization),
         batch_format="pyarrow",
         batch_size=cfg.execution.score_batch_size,
     )
@@ -177,7 +168,7 @@ def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
             # itself in dedup_pairs
             a, b = np.minimum(a, b), np.maximum(a, b)
         # per-block gram matmul: the same float64 ||a||² + ||b||² − 2·a·b
-        # that _GlobalTopK uses, gathering only scalars per pair
+        # that _global_topk uses, gathering only scalars per pair
         emb = seg["emb"].astype(np.float64)
         nrm2 = (emb * emb).sum(axis=1)
         dot = (emb @ emb.T)[a, b]
@@ -291,19 +282,15 @@ def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset
 
 
 def _with_pred(pairs: ray.data.Dataset, cfg: EngineConfig, weights_ref, vocab_ref, meta):
-    """Attach pred_score via the PairScorer actor pool (needed for the
-    'conf' metric or calc_predict; skipped otherwise — the reference
-    only runs the model when asked, candidateRanker.py:431-441)."""
+    """Attach pred_score via PairScorer (needed for the 'conf' metric or
+    calc_predict; skipped otherwise — the reference only runs the model
+    when asked, candidateRanker.py:431-441)."""
     return pairs.map_batches(
-        PairScorer,
-        fn_constructor_kwargs=dict(
-            weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-            s1_col="query", s2_col="candidate", with_classical=False,
-            preprocessing=cfg.preprocessing, tokenization=cfg.tokenization,
-        ),
+        PairScorer(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+                   s1_col="query", s2_col="candidate", with_classical=False,
+                   preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
         batch_format="pyarrow",
         batch_size=cfg.execution.score_batch_size,
-        concurrency=cfg.execution.score_concurrency,
     )
 
 
@@ -485,7 +472,7 @@ def blocked_pairs(
 
     ``keyed`` is materialized first when salting is on: the hot-key
     census, the salted re-emit and the pair groupby would otherwise each
-    RE-EXECUTE the lazy upstream (including the embedding actor pool —
+    RE-EXECUTE the lazy upstream (including the embedding stage —
     observed 3× the flagship's embed cost). Materialize pins blocks to
     the (spill-backed) object store — the right trade even at scale,
     since the alternative is recomputing the most expensive stage."""
@@ -573,23 +560,19 @@ def rank_global(
             )
         batches.append(b)
     ctab = pa.concat_tables(batches)
-    cand_emb = emb_matrix(ctab["emb"])
-    valid = np.asarray(ctab["emb_valid"].to_pylist())
-    cand_emb = cand_emb[valid]
-    cand_ids = np.asarray(ctab["id"].to_pylist(), dtype=object)[valid]
-    cand_orig = np.asarray(ctab["orig"].to_pylist(), dtype=object)[valid]
-    cand_norm_len = np.asarray(
-        [len(s) for s in ctab["norm_text"].to_pylist()], dtype=np.int64
-    )[valid]
-    payload_ref = ray.put((cand_emb, cand_ids, cand_orig, cand_norm_len))
+    cand = ctab.filter(ctab["emb_valid"])
+    payload_ref = ray.put((
+        emb_matrix(cand["emb"]),
+        cand["id"].combine_chunks(),
+        cand["orig"].combine_chunks(),
+        pc.utf8_length(cand["norm_text"]).to_numpy(),
+    ))
 
     q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id, query_text)
     pairs = q.map_batches(
-        _GlobalTopK,
-        fn_constructor_kwargs=dict(payload_ref=payload_ref, cfg=cfg),
+        functools.partial(_global_topk, payload_ref=payload_ref, cfg=cfg),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=cfg.execution.score_concurrency,
     )
     if cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict:
         pairs = _with_pred(pairs, cfg, weights_ref, vocab_ref, meta)
@@ -598,80 +581,60 @@ def rank_global(
     return rank_pairs(pairs, cfg)
 
 
-class _GlobalTopK:
-    """Actor: holds the broadcast candidate matrix; per query batch
-    computes exact distances in candidate chunks and keeps the per-query
-    fixpoint set (threshold + top-k)."""
+_CHUNK = 65536  # candidates per gram block
 
-    _CHUNK = 65536
 
-    def __init__(self, payload_ref, cfg: EngineConfig):
-        self.c_emb, self.c_ids, self.c_orig, self.c_len = ray.get(payload_ref)
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        r = self.cfg.ranking
-        q_emb = emb_matrix(batch["emb"])
-        q_valid = np.asarray(batch["emb_valid"].to_pylist())
-        q_ids = batch["id"].to_pylist()
-        q_orig = batch["orig"].to_pylist()
-        q_len = np.asarray([len(s) for s in batch["norm_text"].to_pylist()])
-        want_cos = r.calc_cosine or r.ranking_metric == "cosine"
-        rows = {k: [] for k in ["query_id", "query", "candidate_id", "candidate",
-                                 "faiss_dist", "cosine_dist"]}
-        N = len(self.c_emb)
-        for qs in range(0, len(q_emb), 64):
-            qe = min(qs + 64, len(q_emb))
-            Q = q_emb[qs:qe]
-            best = [([], [], []) for _ in range(qe - qs)]  # per query: idx, faiss, cos
-            Q64 = Q.astype(np.float64)
-            for cs in range(0, N, self._CHUNK):
-                C = self.c_emb[cs : cs + self._CHUNK].astype(np.float64)
-                qc = Q64 @ C.T
-                d2 = (
-                    (Q64 * Q64).sum(axis=1)[:, None]
-                    + (C * C).sum(axis=1)[None, :]
-                    - 2.0 * qc
-                )
-                np.maximum(d2, 0.0, out=d2)
-                d2 = d2.astype(np.float32)
-                if want_cos:
-                    qn = np.linalg.norm(Q64, axis=1)[:, None]
-                    cn = np.linalg.norm(C, axis=1)[None, :]
-                    cosd = (1.0 - qc / np.maximum(qn * cn, 1e-10)).astype(np.float32)
-                else:
-                    cosd = None
-                metric = d2 if r.ranking_metric != "cosine" else cosd
-                for i in range(qe - qs):
-                    if not q_valid[qs + i]:
-                        continue
-                    mrow = metric[i]
-                    if r.ranking_metric in ("faiss", "cosine"):
-                        sel = np.flatnonzero(mrow <= r.selection_threshold)
-                    else:
-                        sel = np.arange(len(mrow))
-                    if r.length_diff is not None:
-                        sel = sel[np.abs(self.c_len[cs : cs + self._CHUNK][sel] - q_len[qs + i]) <= r.length_diff]
-                    best[i][0].append(sel + cs)
-                    best[i][1].append(d2[i][sel])
-                    best[i][2].append(cosd[i][sel] if cosd is not None else np.full(len(sel), np.nan, np.float32))
-            for i in range(qe - qs):
-                idx = np.concatenate(best[i][0]) if best[i][0] else np.array([], dtype=np.int64)
-                if len(idx) == 0:
-                    continue
-                fd = np.concatenate(best[i][1])
-                cd = np.concatenate(best[i][2])
-                rows["query_id"] += [q_ids[qs + i]] * len(idx)
-                rows["query"] += [q_orig[qs + i]] * len(idx)
-                rows["candidate_id"] += list(self.c_ids[idx])
-                rows["candidate"] += list(self.c_orig[idx])
-                rows["faiss_dist"] += list(fd)
-                rows["cosine_dist"] += list(cd)
-        return pa.table({
-            "query_id": pa.array(rows["query_id"], type=pa.string()),
-            "query": pa.array(rows["query"], type=pa.string()),
-            "candidate_id": pa.array(rows["candidate_id"], type=pa.string()),
-            "candidate": pa.array(rows["candidate"], type=pa.string()),
-            "faiss_dist": pa.array(np.array(rows["faiss_dist"], dtype=np.float32)),
-            "cosine_dist": pa.array(np.array(rows["cosine_dist"], dtype=np.float32)),
-        })
+def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table:
+    """Per query batch, against the broadcast candidate payload (valid
+    candidates' embeddings, ids, names, normalized lengths): exact
+    distances in blocks of 64 queries × ``_CHUNK`` candidates, keeping
+    the per-query fixpoint set (threshold, ``length_diff``). Ids and
+    names are gathered with Arrow ``take``, so they keep their input
+    types."""
+    c_emb, c_ids, c_orig, c_len = ray.get(payload_ref)
+    r = cfg.ranking
+    q_emb = emb_matrix(batch["emb"])
+    q_valid = batch["emb_valid"].to_numpy()
+    q_len = pc.utf8_length(batch["norm_text"]).to_numpy()
+    want_cos = r.calc_cosine or r.ranking_metric == "cosine"
+    qi, ci, fd, cd = [], [], [], []
+    for qs in range(0, len(q_emb), 64):
+        Q64 = q_emb[qs : qs + 64].astype(np.float64)
+        for cs in range(0, len(c_emb), _CHUNK):
+            C = c_emb[cs : cs + _CHUNK].astype(np.float64)
+            qc = Q64 @ C.T
+            d2 = (
+                (Q64 * Q64).sum(axis=1)[:, None]
+                + (C * C).sum(axis=1)[None, :]
+                - 2.0 * qc
+            )
+            np.maximum(d2, 0.0, out=d2)
+            d2 = d2.astype(np.float32)
+            if want_cos:
+                qn = np.linalg.norm(Q64, axis=1)[:, None]
+                cn = np.linalg.norm(C, axis=1)[None, :]
+                cosd = (1.0 - qc / np.maximum(qn * cn, 1e-10)).astype(np.float32)
+            else:
+                cosd = None
+            keep = np.broadcast_to(q_valid[qs : qs + 64, None], d2.shape)
+            if r.ranking_metric in ("faiss", "cosine"):
+                metric = cosd if r.ranking_metric == "cosine" else d2
+                keep = keep & (metric <= r.selection_threshold)
+            if r.length_diff is not None:
+                keep = keep & (np.abs(c_len[None, cs : cs + _CHUNK]
+                                      - q_len[qs : qs + 64, None]) <= r.length_diff)
+            i, j = np.nonzero(keep)
+            qi.append(i + qs)
+            ci.append(j + cs)
+            fd.append(d2[i, j])
+            cd.append(np.full(len(i), np.nan, np.float32) if cosd is None else cosd[i, j])
+    qi, ci = (pa.array(np.concatenate(x or [np.zeros(0, np.int64)])) for x in (qi, ci))
+    fd, cd = (np.concatenate(x or [np.zeros(0, np.float32)]) for x in (fd, cd))
+    return pa.table({
+        "query_id": batch["id"].take(qi),
+        "query": batch["orig"].take(qi),
+        "candidate_id": c_ids.take(ci),
+        "candidate": c_orig.take(ci),
+        "faiss_dist": pa.array(fd),
+        "cosine_dist": pa.array(cd),
+    })

@@ -1,11 +1,15 @@
-"""Stateful scoring stages: actor-pool embedder and pair scorer.
+"""Stateful scoring stages: embedder and pair scorer.
 
-Both are callable CLASSES for ``map_batches(Cls, concurrency=N, ...)``:
-model weights + vocab are fetched from the object store ONCE per actor
-in ``__init__`` (broadcast via ``ray.put`` on the driver), work happens
-per batch in ``__call__`` — the Ray-native replacement for the
-reference's driver-resident model (rnn_networks.py:1180-1185,
-candidateRanker.py:315-323).
+Both are callable classes passed to ``map_batches`` as INSTANCES, so
+they run as ordinary tasks on Ray's warm worker processes:
+``ds.map_batches(PairScorer(weights_ref=..., ...), batch_format=
+"pyarrow")``. An instance holds only its arguments (object-store refs
+to the weights and vocab, meta, configs) and a token; its first call in
+a worker process fetches the weights and vocab (a zero-copy plasma
+read) and builds the model, which every later task of that stage on the
+same worker reuses (``_TASK_STAGE_CACHE``). This is the Ray-native
+replacement for the reference's driver-resident model
+(rnn_networks.py:1180-1185, candidateRanker.py:315-323).
 
 - ``Embedder`` ≙ inference ``vect`` mode (rnn_networks.py:874-918):
   emits the last layer's final fwd/bwd GRU states as one fixed-size-list
@@ -18,6 +22,8 @@ candidateRanker.py:315-323).
 """
 
 from __future__ import annotations
+
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -33,22 +39,41 @@ def _fetch(ref_or_val):
     return ray.get(ref_or_val) if isinstance(ref_or_val, ray.ObjectRef) else ref_or_val
 
 
+# model + vocab per stage token, per worker process. Workers are
+# long-lived: without a cap, every pipeline run (fresh token) would
+# leak its model weights into the cache.
+_TASK_STAGE_CACHE: dict[str, tuple] = {}
+_CACHE_CAP = 8
+
+
 class _ModelStage:
     def __init__(self, weights_ref, vocab_ref, meta: dict,
                  preprocessing: PreprocessingConfig | None = None,
                  tokenization: TokenizationConfig | None = None):
-        weights = _fetch(weights_ref)
-        self.tok2index = _fetch(vocab_ref)
+        self.weights_ref = weights_ref
+        self.vocab_ref = vocab_ref
         self.meta = meta
         self.prep = preprocessing or PreprocessingConfig()
         self.tok = tokenization or TokenizationConfig()
-        self.model = CharGRU(
-            weights,
-            num_layers=meta.get("num_layers", 2),
-            bidirectional=meta.get("bidirectional", True),
-            arch=meta.get("arch", "gru"),
-            pooling_mode=meta.get("pooling_mode", "hstates_layers_simple"),
-        )
+        self.token = uuid.uuid4().hex
+
+    def _state(self) -> tuple[CharGRU, dict]:
+        """(model, tok2index), built on this stage's first call in a
+        worker process and reused by its later calls there."""
+        state = _TASK_STAGE_CACHE.get(self.token)
+        if state is None:
+            while len(_TASK_STAGE_CACHE) >= _CACHE_CAP:
+                _TASK_STAGE_CACHE.pop(next(iter(_TASK_STAGE_CACHE)))
+            meta = self.meta
+            model = CharGRU(
+                _fetch(self.weights_ref),
+                num_layers=meta.get("num_layers", 2),
+                bidirectional=meta.get("bidirectional", True),
+                arch=meta.get("arch", "gru"),
+                pooling_mode=meta.get("pooling_mode", "hstates_layers_simple"),
+            )
+            state = _TASK_STAGE_CACHE[self.token] = (model, _fetch(self.vocab_ref))
+        return state
 
     def _encode(self, texts: pa.Array | pa.ChunkedArray):
         norm = normalize_array(
@@ -56,7 +81,7 @@ class _ModelStage:
             strip=self.prep.strip, only_latin_letters=self.prep.only_latin_letters,
         )
         return encode_strings(
-            norm.to_pylist(), self.tok2index, tokenize=self.tok.tokenize,
+            norm.to_pylist(), self._state()[1], tokenize=self.tok.tokenize,
             min_gram=self.tok.min_gram, max_gram=self.tok.max_gram,
             token_sep=self.tok.token_sep, prefix_suffix=self.tok.prefix_suffix,
             max_seq_len=self.tok.max_seq_len,
@@ -76,7 +101,7 @@ class Embedder(_ModelStage):
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x, lens, valid = self._encode(batch[self.text_col])
-        fwd, bwd = self.model.embed(x, lens)
+        fwd, bwd = self._state()[0].embed(x, lens)
         vec = np.concatenate([fwd, bwd], axis=1) if bwd is not None else fwd
         vec = np.ascontiguousarray(vec, dtype=np.float32)
         vec[~valid] = 0.0
@@ -108,7 +133,7 @@ class PairScorer(_ModelStage):
     def __call__(self, batch: pa.Table) -> pa.Table:
         x1, l1, v1 = self._encode(batch[self.s1_col])
         x2, l2, v2 = self._encode(batch[self.s2_col])
-        p1 = self.model.match_probability(x1, l1, x2, l2)
+        p1 = self._state()[0].match_probability(x1, l1, x2, l2)
         p1 = np.where(v1 & v2, p1, np.nan)
         keep = self.emit if self.emit is not None else batch.column_names
         cols = {c: batch[c] for c in keep}
@@ -119,51 +144,6 @@ class PairScorer(_ModelStage):
             cols["lev_dist"] = pa.array(levenshtein_batch(s1, s2).astype(np.int64))
             cols["jw_sim"] = pa.array(jaro_winkler_batch(s1, s2))
         return pa.table(cols)
-
-
-_TASK_STAGE_CACHE: dict[str, object] = {}
-
-
-class CachedStage:
-    """Task-pool alternative to an actor pool for stages whose state is
-    CHEAP to rebuild from the object store (model weights fetch is a
-    zero-copy plasma read; CharGRU construction is microseconds).
-
-    An actor pool forks one fresh Python process per actor at every
-    pipeline start (~0.5-1 s each: interpreter + imports), a fixed
-    per-run cost that dominates short jobs and skews on-box scaling
-    measurements. A CachedStage instance is pickled to ordinary TASKS
-    that run on Ray's pre-started warm workers; the wrapped stage is
-    built once per worker process (keyed by ``token``) and reused by
-    every subsequent task on that worker.
-
-    Use an actor pool when state is genuinely expensive (big model
-    load, index build); use this when it is not.
-    """
-
-    def __init__(self, cls: type, token: str, kwargs: dict):
-        self.cls = cls
-        self.token = token
-        self.kwargs = kwargs
-
-    @classmethod
-    def of(cls, stage_cls: type, **kwargs) -> "CachedStage":
-        import uuid
-
-        return cls(stage_cls, uuid.uuid4().hex, kwargs)
-
-    _CACHE_CAP = 8  # distinct stages kept per worker process
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        stage = _TASK_STAGE_CACHE.get(self.token)
-        if stage is None:
-            # workers are long-lived: without a cap, every pipeline run
-            # (fresh token) would leak its model weights into the cache
-            while len(_TASK_STAGE_CACHE) >= self._CACHE_CAP:
-                _TASK_STAGE_CACHE.pop(next(iter(_TASK_STAGE_CACHE)))
-            stage = self.cls(**self.kwargs)
-            _TASK_STAGE_CACHE[self.token] = stage
-        return stage(batch)
 
 
 def emb_matrix(batch_col: pa.ChunkedArray | pa.Array) -> np.ndarray:

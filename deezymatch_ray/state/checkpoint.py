@@ -218,10 +218,11 @@ def run_stage(
     ``max_concurrent`` pending partitions execute at once (each is a
     full distributed Ray Data sub-pipeline — the driver threads only
     launch/await). Effective concurrency is additionally capped at
-    CPUs//2: a partition pipeline with an actor-pool stage pins ≥1 CPU
-    on an actor, and N concurrent pipelines each need ≥1 more CPU for
+    CPUs//2: the library's own stages run as tasks, but a caller's
+    ``stage_fn`` may hold an actor pool, which pins ≥1 CPU per pipeline
+    on its actor, and N concurrent pipelines each need ≥1 more CPU for
     their upstream tasks or the whole stage deadlocks (observed with 4
-    pipelines × 1 Embedder actor on a 4-CPU cluster). For a 100 TB run,
+    pipelines × 1 actor on a 4-CPU cluster). For a 100 TB run,
     ``n_partitions`` is sized so one partition ≈ one retryable slice of
     work (minutes, not hours).
     """

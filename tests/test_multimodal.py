@@ -1,5 +1,5 @@
 """Multimodal plumbing: binary payload schema, decode/resize/frame-sample
-actor stages (deterministic fake codec — real codecs are stubbed)."""
+stages (deterministic fake codec — real codecs are stubbed)."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def test_media_table_schema_and_determinism(media_tbl):
 
 def test_decode_stage_deterministic_unit_features(media_tbl):
     ds = ray.data.from_arrow(media_tbl)
-    out = decode_media(ds, dim=32, concurrency=(1, 2)).to_pandas()
+    out = decode_media(ds, dim=32).to_pandas()
     assert len(out) == len(media_tbl)
     assert out["decode_ok"].all()
     feats = np.stack(out["features"].to_numpy())

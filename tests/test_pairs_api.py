@@ -122,6 +122,27 @@ def test_confusion_counts_executes_its_input_once(tmp_path):
     assert len(list(tmp_path.iterdir())) == 3  # one marker per block
 
 
+def test_inference_scores_its_input_once(tiny_model_dir, tmp_path):
+    """api.inference(mode="test") runs its scorer once: the metrics and
+    the caller's read share one materialized result, so an upstream UDF
+    on the input pairs runs once per input batch."""
+    d, cfg, pairs = tiny_model_dir
+
+    def mark(batch: pa.Table) -> pa.Table:
+        import uuid
+
+        (tmp_path / uuid.uuid4().hex).touch()
+        return batch
+
+    tbl = pa.concat_tables(pairs.limit(120).iter_batches(batch_format="pyarrow"))
+    ds = ray.data.from_arrow([tbl.slice(0, 40), tbl.slice(40, 40), tbl.slice(80)])
+    scored, metrics = api.inference(
+        d, ds.map_batches(mark, batch_format="pyarrow"), mode="test", cfg=cfg)
+    assert scored.to_pandas().shape[0] == 120
+    assert 0.0 <= metrics["macro_f1"] <= 1.0
+    assert len(list(tmp_path.iterdir())) == 3  # one marker per input batch
+
+
 def test_map_does_not_depend_on_row_order_with_nan_scores():
     """NaN scores (PairScorer's invalid legs) are one tie run ranked
     last, so a group's MAP is the same in every arrival order: scores
@@ -310,13 +331,14 @@ def test_api_candidate_ranker(tiny_model_dir):
 
 
 def test_cached_stage_task_pool_matches_actor_pool(tiny_model_dir):
-    """CachedStage (task pool + per-worker stage cache) must produce
-    identical scores to the actor-pool PairScorer path."""
+    """PairScorer passed as an instance (task pool + per-worker stage
+    cache) must produce identical scores to an actor pool of the
+    class."""
     import ray as _ray
 
     from deezymatch_ray.model.chargru import load_weights
     from deezymatch_ray.model.vocab import load_vocab
-    from deezymatch_ray.stages.scoring import CachedStage, PairScorer
+    from deezymatch_ray.stages.scoring import PairScorer
 
     d, cfg, pairs = tiny_model_dir
     w, meta = load_weights(f"{d}/model.npz")
@@ -331,7 +353,7 @@ def test_cached_stage_task_pool_matches_actor_pool(tiny_model_dir):
         batch_size=16, concurrency=(1, 2),
     ).to_pandas().sort_values("s1").reset_index(drop=True)
     via_task = sub.map_batches(
-        CachedStage.of(PairScorer, **kwargs), batch_format="pyarrow",
+        PairScorer(**kwargs), batch_format="pyarrow",
         batch_size=16,
     ).to_pandas().sort_values("s1").reset_index(drop=True)
     np.testing.assert_allclose(via_actor["pred_score"], via_task["pred_score"],

@@ -383,6 +383,39 @@ def test_rank_global_broadcast_gate_raises(model_dir, qc_tables):
                     weights_ref, vocab_ref, meta, broadcast_limit=10)
 
 
+@pytest.mark.parametrize("plan", [rank_global, rank_blocked],
+                         ids=["global", "blocked"])
+def test_rank_plans_keep_the_input_id_type(plan, model_dir, qc_tables):
+    """String and int64 ids over the same names: each plan returns ids
+    of its input type and the same (query, candidate, rank) rows."""
+    queries, cands = qc_tables
+    queries = queries[:5]
+    cfg, meta = _cfg(model_dir, selection_threshold=1e9)
+    weights_ref, vocab_ref, _, _ = load_model_artifacts(model_dir)
+    rows = {}
+    for kind, qids, cids in (
+        ("string", [i for i, _ in queries], [i for i, _ in cands]),
+        ("int64", list(range(len(queries))), list(range(100, 100 + len(cands)))),
+    ):
+        def ds(ids, side):
+            return ray.data.from_arrow(pa.table({
+                "id": pa.array(ids, type=pa.string() if kind == "string" else pa.int64()),
+                "name": pa.array([n for _, n in side], type=pa.string()),
+            }))
+
+        out = plan(ds(qids, queries), ds(cids, cands), cfg, weights_ref,
+                   vocab_ref, meta).to_pandas()
+        want_dtype = object if kind == "string" else np.int64
+        assert out["query_id"].dtype == want_dtype
+        assert out["candidate_id"].dtype == want_dtype
+        qpos = {q: i for i, q in enumerate(qids)}
+        cpos = {c: i for i, c in enumerate(cids)}
+        rows[kind] = sorted(
+            (qpos[q], cpos[c], r)
+            for q, c, r in zip(out["query_id"], out["candidate_id"], out["rank"]))
+    assert rows["string"] and rows["string"] == rows["int64"]
+
+
 def test_candidate_string_dedup_parity_mode(model_dir):
     """dedup_on='candidate_string' (reference parity,
     candidateRanker.py:483-492): duplicate candidate SPELLINGS under
