@@ -1,6 +1,6 @@
 """Evaluation aggregates: classification metrics and Mean Average
 Precision, computed the Ray way — per-batch partial counts summed by a
-tiny aggregate, full per-group work only inside map_groups.
+tiny aggregate, full per-group work only inside bucketed map_groups.
 
 Reference parity:
 - A4 accuracy/precision/recall/F1 (macro + weighted) as in
@@ -20,6 +20,10 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
+
+from deezymatch_ray.config import DEFAULT_CONFIG
+from deezymatch_ray.functions.vectors import run_starts
+from deezymatch_ray.stages.blocking import _group_width, bucket_map
 
 
 def confusion_counts(
@@ -96,17 +100,22 @@ def map_score(
     label_col: str = "label",
     score_col: str = "pred_score",
 ) -> float:
-    """A5 MAP: per-query AP via groupby().map_groups, mean on the driver,
-    skipping groups with no positive label (utils.py:88-93)."""
+    """A5 MAP: per-query AP, one pyarrow call per hash bucket of query
+    keys (``bucket_map``) walking the bucket's query segments, mean on
+    the driver, skipping groups with no positive label
+    (utils.py:88-93)."""
+    def ap_bucket(t: pa.Table) -> pa.Table:
+        t = t.sort_by(query_col)
+        y, s = t[label_col].to_numpy().astype(bool), t[score_col].to_numpy()
+        ends = np.append(np.flatnonzero(run_starts(t, [query_col])), t.num_rows)
+        return pa.table({"ap": pa.array(
+            [average_precision(y[a:b], s[a:b])
+             for a, b in zip(ends[:-1], ends[1:]) if y[a:b].any()],
+            type=pa.float64())})
 
-    def ap_group(batch: pa.Table) -> pa.Table:
-        y = np.asarray(batch[label_col].to_numpy(), dtype=bool)
-        if not y.any():
-            return pa.table({"ap": pa.array([], type=pa.float64())})
-        scores = batch[score_col].to_numpy()
-        return pa.table({"ap": [average_precision(y, scores)]})
-
-    aps = scored.groupby(query_col).map_groups(ap_group, batch_format="pyarrow")
+    aps = bucket_map(scored, [query_col], ap_bucket,
+                     DEFAULT_CONFIG.execution.shuffle_partitions,
+                     _group_width(DEFAULT_CONFIG))
     # the AP column is read batch-wise and sorted before the mean, so the
     # result does not depend on the order the groups come back in
     vals = np.concatenate([np.empty(0)] + [

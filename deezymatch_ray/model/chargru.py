@@ -36,6 +36,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)))
 
 
+def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` over the last axis, each row's result a function of
+    that row alone. OpenBLAS computes the last row of an sgemm with an
+    odd row count in another kernel, whose last bits differ, so a
+    string's embedding would depend on its batch; the rows go in as one
+    2-D product with an even row count."""
+    flat = x.reshape(-1, x.shape[-1])
+    n = len(flat)
+    if n % 2:
+        flat = np.concatenate([flat, np.zeros((1, flat.shape[1]), flat.dtype)])
+    return (flat @ w.T)[:n].reshape(*x.shape[:-1], w.shape[0])
+
+
 def init_weights(
     vocab_size: int,
     embedding_dim: int = 60,
@@ -143,14 +156,14 @@ class CharGRU:
         c = np.zeros((B, H), dtype=inp.dtype) if self.arch == "lstm" else None
         out = np.zeros((B, T, H), dtype=inp.dtype)
         # precompute input gates for all t at once: [B,T,gate*H]
-        gi_all = inp @ W_ih.T + b_ih
+        gi_all = row_matmul(inp, W_ih) + b_ih
         steps = range(T) if d == 0 else range(T - 1, -1, -1)
         if counts is not None and cache is None:
             for t in steps:
                 k = counts[t]
                 if k == 0:
                     continue
-                gh = h[:k] @ W_hh.T + b_hh
+                gh = row_matmul(h[:k], W_hh) + b_hh
                 gi = gi_all[:k, t]
                 if self.arch == "gru":
                     rz = sigmoid(gi[:, : 2 * H] + gh[:, : 2 * H])  # fused r,z
@@ -174,7 +187,7 @@ class CharGRU:
             return out, h
         for t in steps:
             valid = (t < lens)[:, None]  # [B,1]
-            gh = h @ W_hh.T + b_hh
+            gh = row_matmul(h, W_hh) + b_hh
             gi = gi_all[:, t]
             if self.arch == "gru":
                 r = sigmoid(gi[:, :H] + gh[:, :H])

@@ -421,8 +421,7 @@ def link_documents(
     else:
         pairs = score_self_pairs(jt, cfg, weights_ref, vocab_ref, meta)
     # D1 pair dedup (SURVEY §2.7): a pair sharing k block keys is emitted k
-    # times; dedup BEFORE the model re-scores, keeping each pair's
-    # lowest-distance copy
+    # times with equal distances; dedup BEFORE the model re-scores
     pairs = dedup_pairs(pairs, cfg.execution.shuffle_partitions)
     from deezymatch_ray.stages.scoring import PairScorer
 

@@ -15,6 +15,7 @@ import pandas as pd
 
 from deezymatch_ray.config import EngineConfig
 from deezymatch_ray.functions.text import encode_strings, normalize_string, string_split
+from deezymatch_ray.functions.vectors import pair_dist
 from deezymatch_ray.model.chargru import CharGRU
 
 
@@ -87,18 +88,12 @@ def oracle_rank(
     for i in range(len(queries)):
         if not q_valid[i]:
             continue
-        c64 = c_emb.astype(np.float64)
-        q64 = q_emb[i].astype(np.float64)
-        # the SAME float64 gram form both physical plans compute
-        # (||q||² + ||c||² − 2·q·c, clamped) — the difference form
-        # (q−c)² differs in the last ulps and can flip a float32
-        # threshold/tie at the boundary
-        num = c64 @ q64
-        faiss_d = (c64 * c64).sum(axis=1) + (q64 * q64).sum() - 2.0 * num
-        np.maximum(faiss_d, 0.0, out=faiss_d)
+        # the spec of both physical plans: per-pair difference-form L2
+        # and dot/norm cosine, functions of the two embeddings only
+        faiss_d, cos_sim = pair_dist(q_emb, c_emb, np.full(len(c_emb), i),
+                                     np.arange(len(c_emb)))
         faiss_d = faiss_d.astype(np.float32)
-        den = np.maximum(np.linalg.norm(c64, axis=1) * np.linalg.norm(q64), 1e-10)
-        cos_d = (1.0 - num / den).astype(np.float32)
+        cos_d = (1.0 - cos_sim).astype(np.float32)
         mask = c_valid.copy()
         if shared is not None:
             mask &= shared[i]

@@ -17,12 +17,14 @@ over its plan's cap is skipped with a warning, never silently.
 
 Every plan that turns key groups into pairs runs through one core,
 ``segment_pairs``: rows hash-bucket with ``bucketize`` (so one UDF call
-serves a whole bucket of keys), each bucket sorts by (key, id), and
-``walk_segments`` walks its key segments, skips the ones the plan's
-oversize predicate marks (warning for each) and lets the plan's kernel
-emit (a, b, values…) row positions, gathered into the output with
-Arrow ``take``. Its users: ranking's ``blocked_pairs`` (self-join and
-query × candidate roles), ``jaccard_near_dup``, ``minhash_lsh_near_dup``,
+serves a whole bucket of keys; ``bucket_map``), each bucket sorts by
+(key, id), and ``walk_segments`` walks its key segments, skips the ones
+the plan's oversize predicate marks (warning for each) and lets the
+plan's kernel emit (a, b, values…) row positions, gathered into the
+output with Arrow ``take``. Its users: ranking's ``blocked_pairs``
+(self-join and query × candidate roles; it walks through
+``score_block_bucket``, which adds the per-(block, query) top-k),
+``jaccard_near_dup``, ``minhash_lsh_near_dup``,
 ``minhash_lsh_dedup_incremental``, ``simhash_near_dup`` and
 ``embedding_near_dup_lsh``.
 
@@ -107,22 +109,32 @@ def _resolve_hash_backend() -> tuple[str, str | None]:
     or mixed polars versions — ``pl.hash`` is only stable within one
     version) silently send identical keys to different buckets, losing
     cross-bucket matches in every bucketized groupby. Workers verify
-    the shipped decision and fail loudly on mismatch instead."""
-    try:
-        import polars as pl
+    the shipped decision and fail loudly on mismatch instead. The
+    version comes from the package metadata, so a plan whose keys are
+    all integers never imports polars."""
+    from importlib.metadata import PackageNotFoundError, version
 
-        return ("polars", pl.__version__)
-    except ImportError:
+    try:
+        return ("polars", version("polars"))
+    except PackageNotFoundError:
         return ("pandas", None)
 
 
 def _hash_col_u64(col, backend: tuple[str, str | None]) -> np.ndarray:
     """Vectorized per-row uint64 hash of one Arrow column, no Python
-    objects in the loop. polars' xxhash runs directly on the Arrow
-    buffers (zero-copy; ~3× faster than pandas' object-path siphash on
-    strings, ~100× on ints); ``backend`` is the driver's resolved
-    (name, version) — see ``_resolve_hash_backend``. Falls back to
-    pandas' fixed-key siphash when the driver had no polars."""
+    objects in the loop. Integer columns mix their values with the
+    splitmix64 finalizer in NumPy. Other columns hash with polars'
+    xxhash directly on the Arrow buffers (zero-copy; ~3× faster than
+    pandas' object-path siphash on strings); ``backend`` is the
+    driver's resolved (name, version) — see ``_resolve_hash_backend``.
+    Falls back to pandas' fixed-key siphash when the driver had no
+    polars."""
+    if pa.types.is_integer(col.type):
+        x = pc.fill_null(col, 0).to_numpy().astype(np.int64).view(np.uint64)
+        with np.errstate(over="ignore"):
+            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
     name, want_version = backend
     if name == "polars":
         try:
@@ -189,6 +201,21 @@ def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
         )
 
     return ds.map_batches(fn, batch_format="pyarrow")
+
+
+def collect_side(ds: ray.data.Dataset, limit: int, message: str) -> pa.Table | None:
+    """Every row of ``ds`` as one Arrow table on the driver, for a
+    broadcast plan. Raises ``ValueError(message)`` as soon as more than
+    ``limit`` rows have arrived, during the single driver pass and
+    before the concat and broadcast could run the driver out of memory.
+    None when ``ds`` yields no batch."""
+    batches, n_rows = [], 0
+    for b in ds.iter_batches(batch_format="pyarrow"):
+        n_rows += b.num_rows
+        if n_rows > limit:
+            raise ValueError(message)
+        batches.append(b)
+    return pa.concat_tables(batches) if batches else None
 
 
 def _group_width(cfg: EngineConfig) -> int:
@@ -280,8 +307,7 @@ def walk_segments(t: pa.Table, key_col: str, kernel,
     so types survive), then the ``values`` columns, typed."""
     t = t.sort_by([(key_col, "ascending"), ("id", "ascending")])
     keys = _np_rows(t[key_col])
-    cols = {c: _np_rows(t[c]) for c in t.column_names
-            if c not in (key_col, "__bucket")}
+    cols = {c: _np_rows(t[c]) for c in t.column_names if c != key_col}
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     sizes = np.diff(np.append(starts, len(keys)))
     parts = []
@@ -305,15 +331,26 @@ def walk_segments(t: pa.Table, key_col: str, kernel,
     return pa.table(out)
 
 
-def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
-                  width: int | None = None, **walk) -> ray.data.Dataset:
-    """Pairs from exploded (key, id, payload…) rows: ``bucketize`` on
-    ``walk["key_col"]``, one sort groupby over the buckets, and one
-    pyarrow ``walk_segments(**walk)`` call per bucket — not one call per
-    key. ``width`` repartitions in front of the groupby (see
-    ``_group_width``); None keeps the input's block count."""
-    b = bucketize(keyed, [walk["key_col"]], num_buckets)
+def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
+               num_buckets: int, width: int | None = None) -> ray.data.Dataset:
+    """``fn`` over whole hash buckets of ``key_cols``: ``bucketize``,
+    one sort groupby over the buckets and one pyarrow ``fn(bucket)``
+    call per bucket — not one call per key. ``fn`` sees the bucket
+    without its ``__bucket`` column. ``width`` repartitions in front of
+    the groupby (see ``_group_width``); None keeps the input's block
+    count."""
+    b = bucketize(ds, key_cols, num_buckets)
     if width:
         b = b.repartition(width)
     return b.groupby("__bucket").map_groups(
-        functools.partial(walk_segments, **walk), batch_format="pyarrow")
+        lambda t: fn(t.drop_columns(["__bucket"])), batch_format="pyarrow")
+
+
+def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
+                  width: int | None = None, **walk) -> ray.data.Dataset:
+    """Pairs from exploded (key, id, payload…) rows: one pyarrow
+    ``walk_segments(**walk)`` call per hash bucket of ``walk["key_col"]``
+    (``bucket_map``)."""
+    return bucket_map(keyed, [walk["key_col"]],
+                      functools.partial(walk_segments, **walk),
+                      num_buckets, width)

@@ -58,11 +58,14 @@ from deezymatch_ray.functions.dedup import (
     word_shingles,
     words,
 )
+from deezymatch_ray.functions.vectors import dense_pairs, to_matrix
 from deezymatch_ray.stages.blocking import (
     _cross_pairs,
+    _np_rows,
     _self_pairs,
     _warn_skipped_group,  # noqa: F401 (the banded plans' skip warning)
     bucketize,
+    collect_side,
     segment_pairs,
 )
 
@@ -851,8 +854,6 @@ def embedding_near_dup_lsh(
     weights = 1 << np.arange(n_bits, dtype=np.int64)
 
     def explode(batch: pa.Table) -> pa.Table:
-        from deezymatch_ray.stages.ann import _to_matrix
-
         pl = ray.get(planes_ref)
         ids = batch[id_col]
         n = batch.num_rows
@@ -864,7 +865,7 @@ def embedding_near_dup_lsh(
                     [], type=pa.list_(pa.float32(), d)
                 ),
             })
-        mat = _to_matrix(batch[vec_col])
+        mat = to_matrix(batch[vec_col])
         bits = (mat @ pl.T) > 0
         sig = bits.reshape(n, n_tables, n_bits) @ weights  # [N, T]
         # int64 key fold pattern*n_tables + t (pattern < 2^n_bits, so no
@@ -918,28 +919,16 @@ def embedding_near_dup_lsh(
                 stacklevel=2,
             )
         ids = seg["id"]
-        mat = seg["vec"].astype(np.float64)
-        nrm = np.linalg.norm(mat, axis=1)
-        col = np.arange(m)
-        # row tiles: the [tile, m] gemm slab + mask stay ~tens of MB
-        # no matter how large a skewed bucket grows (never a full
-        # O(m²) gram matrix, never a skip)
-        tile = max(1, (1 << 22) // m)
-        for r0 in range(0, m - 1, tile):
-            r1 = min(r0 + tile, m)
-            rows = np.arange(r0, r1)
-            sims = (mat[r0:r1] @ mat.T) / np.maximum(
-                nrm[rows][:, None] * nrm[None, :], 1e-12
-            )
-            hit = (
-                (sims >= threshold)
-                & (col[None, :] > rows[:, None])
-                & (ids[None, :] != ids[rows][:, None])
-            )
-            ri, ci = np.nonzero(hit)
-            # Python round (correctly rounded) — np.round can land one
-            # ulp off DuckDB's round and break value-hash compares
-            yield rows[ri], ci, [round(float(v), round_to) for v in sims[ri, ci]]
+        # dense_pairs works in memory-bounded gram blocks, so a skewed
+        # bucket costs O(m²) time but never an O(m²) matrix or a skip
+        a, b, _, sims = dense_pairs(
+            seg["vec"], seg["vec"], by="cos", threshold=threshold,
+            allow=lambda r, c: (c[None, :] > r[:, None])
+            & (ids[c][None, :] != ids[r][:, None]))
+        hit = sims >= threshold
+        # Python round (correctly rounded) — np.round can land one
+        # ulp off DuckDB's round and break value-hash compares
+        yield a[hit], b[hit], [round(float(v), round_to) for v in sims[hit]]
 
     per_bucket = segment_pairs(
         keyed, num_partitions, key_col="bkey", kernel=verify,
@@ -968,69 +957,31 @@ def embedding_near_dup(
     concat + broadcast would OOM long before producing wrong results) —
     beyond it, ``embedding_near_dup_lsh`` is the no-broadcast scale
     path (exact verification, LSH-bounded recall)."""
-    import ray as _ray
-
-    batches = []
-    n_rows = 0
-    for b in ds.select_columns([id_col, vec_col]).iter_batches(batch_format="pyarrow"):
-        n_rows += b.num_rows
-        if n_rows > broadcast_limit:
-            # abort DURING the single driver pass, before the concat +
-            # broadcast can OOM (no extra pipeline consumption for the check)
-            raise ValueError(
-                f"embedding_near_dup materializes every vector on the driver "
-                f"and broadcasts them (>{broadcast_limit} rows seen); use "
-                "embedding_near_dup_lsh for corpora past the object-store bound"
-            )
-        batches.append(b)
-    batches = [b for b in batches if b.num_rows]
-    if not batches:
-        sch = ds.schema()
-        id_type = dict(zip(sch.names, sch.types))[id_col]
-        return ds.map_batches(
-            lambda b: _empty_pair_table("vec_a", "vec_b", id_type),
-            batch_format="pyarrow",
-        )
-    tbl = pa.concat_tables(batches)
-    from deezymatch_ray.stages.ann import _np_col, _to_matrix
-
-    ids = _np_col(tbl[id_col])
-    mat64 = _to_matrix(tbl[vec_col])
-    norms = np.linalg.norm(mat64, axis=1)
-    payload = _ray.put((ids, mat64, norms))
+    tbl = collect_side(
+        ds.select_columns([id_col, vec_col]), broadcast_limit,
+        f"embedding_near_dup materializes every vector on the driver and "
+        f"broadcasts them (>{broadcast_limit} rows seen); use "
+        "embedding_near_dup_lsh for corpora past the object-store bound"
+    ) or pa.table({id_col: [], vec_col: []})  # no rows: no pairs
+    payload = ray.put((_np_rows(tbl[id_col]), to_matrix(tbl[vec_col])))
 
     def fn(batch: pa.Table) -> pa.Table:
-        c_ids, c_mat, c_norms = _ray.get(payload)
-        from deezymatch_ray.stages.ann import _np_col, _to_matrix
-
-        q_ids = _np_col(batch[id_col])
-        if len(q_ids) == 0:  # filters upstream routinely emit empty blocks
-            return _empty_pair_table("vec_a", "vec_b", batch[id_col].type)
-        q = _to_matrix(batch[vec_col])
-        qn = np.linalg.norm(q, axis=1)
-        sims = (q @ c_mat.T) / np.maximum(qn[:, None] * c_norms[None, :], 1e-12)
-        qi, ci = np.nonzero((sims >= threshold) & (q_ids[:, None] < c_ids[None, :]))
+        c_ids, c_mat = ray.get(payload)
+        q_ids = _np_rows(batch[id_col])
+        qi, ci, _, sims = dense_pairs(
+            to_matrix(batch[vec_col]), c_mat, by="cos", threshold=threshold,
+            allow=lambda r, c: q_ids[r][:, None] < c_ids[c][None, :])
+        hit = sims >= threshold
         return pa.table({
-            "vec_a": pa.array(q_ids[qi]),
-            "vec_b": pa.array(c_ids[ci]),
+            "vec_a": batch[id_col].take(pa.array(qi[hit])),
+            "vec_b": pa.array(c_ids[ci[hit]], type=batch[id_col].type),
             # Python round (correctly rounded) — np.round can land one ulp
             # off DuckDB's round and break value-hash compares
-            "cos_sim": pa.array([round(float(v), round_to) for v in sims[qi, ci]],
+            "cos_sim": pa.array([round(float(v), round_to) for v in sims[hit]],
                                 type=pa.float64()),
         })
 
     return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def _empty_pair_table(a_name: str, b_name: str,
-                      id_type: pa.DataType) -> pa.Table:
-    """Typed empty (a, b, cos_sim) output block — an untyped empty
-    table would break the stream's schema union."""
-    return pa.table({
-        a_name: pa.array([], type=id_type),
-        b_name: pa.array([], type=id_type),
-        "cos_sim": pa.array([], type=pa.float64()),
-    })
 
 
 def embedding_near_dup_incremental(
@@ -1049,54 +1000,25 @@ def embedding_near_dup_incremental(
     (``ray.put`` once, loud abort past ``broadcast_limit``) while the
     archive-sized CORPUS only streams through ``map_batches`` — the
     opposite orientation of ``embedding_near_dup``'s self-join."""
-    import ray as _ray
-
-    batches = []
-    n_rows = 0
-    for b in new_ds.select_columns([id_col, vec_col]).iter_batches(batch_format="pyarrow"):
-        n_rows += b.num_rows
-        if n_rows > broadcast_limit:
-            raise ValueError(
-                f"embedding_near_dup_incremental broadcasts the NEW side "
-                f"(>{broadcast_limit} rows seen); batch the increment or "
-                "use embedding_near_dup_lsh over the union for symmetric "
-                "no-broadcast matching"
-            )
-        batches.append(b)
-    nonempty = [b for b in batches if b.num_rows]
-    if not nonempty:
-        # an empty increment dedups to nothing — emit a typed empty
-        # stream (concat_tables([]) / np.stack([]) would raise)
-        sch = corpus_ds.schema()
-        id_type = dict(zip(sch.names, sch.types))[id_col]
-        return corpus_ds.map_batches(
-            lambda b: _empty_pair_table("new_id", "corpus_id", id_type),
-            batch_format="pyarrow",
-        )
-    from deezymatch_ray.stages.ann import _np_col, _to_matrix
-
-    tbl = pa.concat_tables(nonempty)
-    n_ids = _np_col(tbl[id_col])
-    n_mat = _to_matrix(tbl[vec_col])
-    n_norms = np.linalg.norm(n_mat, axis=1)
-    payload = _ray.put((n_ids, n_mat, n_norms))
+    tbl = collect_side(
+        new_ds.select_columns([id_col, vec_col]), broadcast_limit,
+        f"embedding_near_dup_incremental broadcasts the NEW side "
+        f"(>{broadcast_limit} rows seen); batch the increment or use "
+        "embedding_near_dup_lsh over the union for symmetric "
+        "no-broadcast matching"
+    ) or pa.table({id_col: [], vec_col: []})  # no rows: no pairs
+    payload = ray.put((_np_rows(tbl[id_col]), to_matrix(tbl[vec_col])))
 
     def fn(batch: pa.Table) -> pa.Table:
-        q_ids, q_mat, q_norms = _ray.get(payload)
-        from deezymatch_ray.stages.ann import _np_col, _to_matrix
-
-        c_ids = _np_col(batch[id_col])
-        if len(c_ids) == 0:  # filters upstream routinely emit empty blocks
-            return _empty_pair_table("new_id", "corpus_id", batch[id_col].type)
-        c = _to_matrix(batch[vec_col])
-        cn = np.linalg.norm(c, axis=1)
-        sims = (q_mat @ c.T) / np.maximum(q_norms[:, None] * cn[None, :], 1e-12)
-        qi, ci = np.nonzero(sims >= threshold)
+        n_ids, n_mat = ray.get(payload)
+        qi, ci, _, sims = dense_pairs(n_mat, to_matrix(batch[vec_col]),
+                                      by="cos", threshold=threshold)
+        hit = sims >= threshold
         return pa.table({
-            "new_id": pa.array(q_ids[qi]),
-            "corpus_id": pa.array(c_ids[ci]),
+            "new_id": pa.array(n_ids[qi[hit]], type=batch[id_col].type),
+            "corpus_id": batch[id_col].take(pa.array(ci[hit])),
             "cos_sim": pa.array(
-                [round(float(v), round_to) for v in sims[qi, ci]],
+                [round(float(v), round_to) for v in sims[hit]],
                 type=pa.float64(),
             ),
         })

@@ -35,14 +35,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from deezymatch_ray.stages.blocking import bucketize
-
-
-def _np_col(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Column → numpy, tolerating chunking and nulls (NaT for ts)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return col.to_numpy(zero_copy_only=False)
+from deezymatch_ray.stages.blocking import _np_rows, bucketize
 
 
 def asof_join_latest(
@@ -98,7 +91,7 @@ def asof_join_latest(
         None would otherwise make lexsort/argsort raise."""
         import pyarrow.compute as pc
 
-        sides = _np_col(t["__side"])
+        sides = _np_rows(t["__side"])
         lmask = sides == 1
         lt = t.filter(pa.array(lmask)).drop_columns(["__side"])
         n_left = lt.num_rows
@@ -118,8 +111,8 @@ def asof_join_latest(
             # 2**53; fill nulls (those rows are excluded from matching
             # by nulls_all anyway) so valid keys keep exact dtype
             kcol = pc.fill_null(kcol, pa.scalar(0).cast(kcol.type))
-        keys_all = _np_col(kcol)
-        ts_all = _np_col(t[ts_col])
+        keys_all = _np_rows(kcol)
+        ts_all = _np_rows(t[ts_col])
         lkeys, lts = keys_all[lmask], ts_all[lmask]
         lnull = nulls_all[lmask]
         rkeep = ~lmask & ~nulls_all

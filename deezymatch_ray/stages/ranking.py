@@ -10,7 +10,10 @@ Reproduces the reference ``candidate_ranker`` result set
   K2). We compute that fixpoint directly.
 - ``faiss_dist`` is squared L2 (faiss IndexFlatL2 convention);
   ``cosine_dist`` = 1 − cosine similarity (:420-429); ``pred_score`` =
-  siamese p1 (:431-441).
+  siamese p1 (:431-441). Both distances come from
+  ``functions.vectors.pair_dist``, so a pair's value depends only on
+  its two embeddings, never on the plan or batch layout: identical
+  embeddings (byte-identical names) give a ``faiss_dist`` of exactly 0.
 - Tie-breaking at equal metric values is pinned to ascending
   ``candidate_id`` (stable) — faiss leaves tie order unspecified
   (SURVEY §7.4), so a distributed engine must fix it.
@@ -23,9 +26,11 @@ Two physical plans, same output schema:
   (the F1-gate population).
 - ``rank_global``: broadcast the full candidate matrix via ``ray.put``
   once, stream queries through ``map_batches`` computing exact global
-  top-k (chunked matmuls). Bit-identical to the reference's global
-  search for the ``faiss`` metric with unique candidate strings;
-  usable while candidates fit in the object store.
+  top-k (``dense_pairs``: a chunked gram shortlist, recomputed per
+  pair). It returns the reference's global search result for the
+  ``faiss`` metric, with ties at equal distance (duplicate names)
+  going to the lowest candidate ids; usable while candidates fit in
+  the object store.
 
 Documented DELIBERATE deviations from the reference (exact-parity
 claims above are scoped by these):
@@ -56,23 +61,29 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 from deezymatch_ray.config import EngineConfig
+from deezymatch_ray.functions.vectors import (
+    dense_pairs,
+    pair_dist,
+    run_starts,
+    select_topk,
+    to_matrix,
+)
 from deezymatch_ray.stages.blocking import (
     DeriveBlockKeys,
     _group_width,
     _role_pairs,
     _self_pairs,
-    bucketize,
-    segment_pairs,
+    bucket_map,
+    collect_side,
     walk_segments,
 )
-from deezymatch_ray.stages.scoring import Embedder, PairScorer, emb_matrix
+from deezymatch_ray.stages.scoring import Embedder, PairScorer
 
 RANK_SCHEMA_COLS = [
     "query_id", "query", "candidate_id", "candidate",
@@ -125,14 +136,13 @@ _TILE = "\x1ftile:"  # salted tile keys: "<block_key>\x1ftile:a-b"
 
 def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
     """``walk_segments`` arguments of ranking's blocked pairs: the
-    oversize predicate and the gram-distance kernel. Emits (query_id,
-    query, candidate_id, candidate, faiss_dist, cosine_dist) for the
-    within-block query × candidate pairs: every unordered pair of a
-    self-join block (canonical query_id < candidate_id), the q × c rows
-    of a salted cross-tile or of a ``self_join=False`` block."""
+    oversize predicate and the pair kernel. Emits the within-block
+    pairs with valid embeddings (within ``length_diff``) — every
+    unordered pair of a self-join block (canonical query_id <
+    candidate_id), the q × c rows of a salted cross-tile or of a
+    ``self_join=False`` block — with their keyed rows ``__qrow`` (which
+    names the pair's (block, query)) and ``__crow``."""
     caps, r = cfg.blocking, cfg.ranking
-    want_cos = r.calc_cosine or r.ranking_metric == "cosine"
-    by_metric = r.ranking_metric in ("faiss", "cosine")
 
     def oversize(key, seg):
         # salted tiles are EXEMPT: salt_hot_blocks already bounded them
@@ -159,126 +169,81 @@ def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
         if not chunks:
             return
         a, b = (np.concatenate(x) for x in zip(*chunks))
-        valid = seg["emb_valid"]
-        m = valid[a] & valid[b]
-        a, b = a[m], b[m]
+        keep = seg["emb_valid"][a] & seg["emb_valid"][b]
+        if r.length_diff is not None:
+            lens = np.array([np.nan if s is None else len(s)
+                             for s in seg["norm_text"]])
+            keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
+        a, b = a[keep], b[keep]
         if self_join:
             # canonical orientation (query_id < candidate_id; rows are
             # id-sorted), so a pair surfacing in several blocks meets
             # itself in dedup_pairs
             a, b = np.minimum(a, b), np.maximum(a, b)
-        # per-block gram matmul: the same float64 ||a||² + ||b||² − 2·a·b
-        # that _global_topk uses, gathering only scalars per pair
-        emb = seg["emb"].astype(np.float64)
-        nrm2 = (emb * emb).sum(axis=1)
-        dot = (emb @ emb.T)[a, b]
-        faiss_d = nrm2[a] + nrm2[b] - 2.0 * dot
-        np.maximum(faiss_d, 0.0, out=faiss_d)
-        faiss_d = faiss_d.astype(np.float32)
-        if want_cos:
-            nrm = np.sqrt(nrm2)
-            cos_d = (1.0 - dot / np.maximum(nrm[a] * nrm[b], 1e-10)).astype(np.float32)
-        else:
-            cos_d = np.full(len(a), np.nan, dtype=np.float32)
-        keep = np.ones(len(a), dtype=bool)
-        if r.length_diff is not None:
-            lens = np.array([np.nan if s is None else len(s)
-                             for s in seg["norm_text"]])
-            keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
-        metric = faiss_d if r.ranking_metric == "faiss" else cos_d
-        if by_metric:
-            # monotone filter: pairs over the threshold never enter the
-            # result, so the pair shuffle does not carry them
-            keep &= metric <= r.selection_threshold
-        a, b, faiss_d, cos_d, metric = (
-            x[keep] for x in (a, b, faiss_d, cos_d, metric))
-        if by_metric:
-            # per-(block, query) top-k by (metric, candidate_id): sound
-            # because the global top-k ⊆ the union of per-block top-k
-            o = np.lexsort((b, metric, a))
-            a, b, faiss_d, cos_d = (x[o] for x in (a, b, faiss_d, cos_d))
-            pos = np.arange(len(a))
-            first = np.maximum.accumulate(
-                np.where(np.r_[True, a[1:] != a[:-1]], pos, 0))
-            top = pos - first < r.num_candidates
-            a, b, faiss_d, cos_d = (x[top] for x in (a, b, faiss_d, cos_d))
-        yield a, b, faiss_d, cos_d
+        yield a, b
 
     return dict(
         key_col="block_key", kernel=kernel, oversize=oversize,
-        kind="blocked_pairs",
-        ends={"id": ("query_id", "candidate_id"), "orig": ("query", "candidate")},
-        values={"faiss_dist": pa.float32(), "cosine_dist": pa.float32()},
+        kind="blocked_pairs", values={},
+        ends={"id": ("query_id", "candidate_id"), "orig": ("query", "candidate"),
+              "__row": ("__qrow", "__crow")},
     )
 
 
 def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
                        self_join: bool = False) -> pa.Table:
     """Score every block of one hash bucket (``blocked_pairs``' per-bucket
-    step, callable in-process): one ``walk_segments`` pass with the
-    ranking kernel. Blocks over ``max_block_size`` members or
-    ``max_pairs_per_block`` pairs are skipped with a warning, except
-    salted tiles."""
-    return walk_segments(t, **_block_walk(cfg, self_join))
-
-
-def select_bucket(df: pd.DataFrame, *, cfg: EngineConfig) -> pd.DataFrame:
-    """Final per-query selection over a whole query-hash bucket: dedup
-    keep-lowest-metric-first (candidateRanker.py:483-492), threshold on
-    the ranking metric, stable sort, truncate, assign rank — one
-    vectorized pandas pass for every query in the bucket."""
+    step, callable in-process): one ``walk_segments`` pass, one
+    ``pair_dist`` call over the bucket's pairs. Blocks over
+    ``max_block_size`` members or ``max_pairs_per_block`` pairs are
+    skipped with a warning, except salted tiles. Under the faiss and
+    cosine metrics each (block, query) keeps only its own selection:
+    a query's global selection is a subset of the union of these."""
     r = cfg.ranking
-    mcol = _metric_column(r.ranking_metric)
-    asc = r.ranking_metric != "conf"
-    if "__bucket" in df.columns:
-        df = df.drop(columns=["__bucket"])
-    if len(df) == 0:
-        return pd.DataFrame({c: [] for c in RANK_SCHEMA_COLS})
-    g = df.sort_values(["query_id", mcol, "candidate_id"],
-                       ascending=[True, asc, True], kind="stable")
-    g = g.drop_duplicates(subset=["query_id", "candidate_id"], keep="first")
-    if getattr(r, "dedup_on", "candidate_id") == "candidate_string":
+    want_cos = r.calc_cosine or r.ranking_metric == "cosine"
+    t = t.append_column("__row", pa.array(np.arange(t.num_rows)))
+    pairs = walk_segments(t, **_block_walk(cfg, self_join))
+    emb = to_matrix(t["emb"], np.float32)
+    fd, cos = pair_dist(emb, emb, pairs["__qrow"].to_numpy(),
+                        pairs["__crow"].to_numpy(), cos=want_cos)
+    cd = 1.0 - cos if want_cos else np.full(len(fd), np.nan)
+    pairs = pairs.append_column("faiss_dist", pa.array(fd.astype(np.float32)))
+    pairs = pairs.append_column("cosine_dist", pa.array(cd.astype(np.float32)))
+    if r.ranking_metric != "conf":
+        return select_bucket(pairs, cfg=cfg, group=("__qrow",)).drop_columns(["rank"])
+    return pairs.drop_columns(["__qrow", "__crow"])
+
+
+def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.Table:
+    """Per-``group`` selection over a whole hash bucket, in the rank
+    schema (int32 ``rank``): dedup, threshold on the ranking metric,
+    (metric, candidate_id) order, top-k, rank
+    (candidateRanker.py:483-544)."""
+    r = cfg.ranking
+    t = select_topk(
+        t, _metric_column(r.ranking_metric), r.num_candidates, group=group,
+        descending=r.ranking_metric == "conf",
+        threshold=r.selection_threshold,
         # reference parity (candidateRanker.py:483-492): duplicate
-        # candidate SPELLINGS collapse to the lowest-(metric, id) row —
-        # the sort above already orders exactly that way per query
-        g = g.drop_duplicates(subset=["query_id", "candidate"], keep="first")
-    if r.ranking_metric == "conf":
-        g = g[g["pred_score"] >= r.selection_threshold]
-    else:
-        g = g[g[mcol] <= r.selection_threshold]
-    g = g.groupby("query_id", sort=False).head(r.num_candidates)
-    g = g.reset_index(drop=True)
-    g["rank"] = (g.groupby("query_id", sort=False).cumcount() + 1).astype(np.int32)
-    return g[[c for c in RANK_SCHEMA_COLS if c in g.columns]]
+        # candidate SPELLINGS collapse to the lowest-(metric, id) row
+        dedup_string="candidate" if r.dedup_on == "candidate_string" else None,
+    )
+    t = t.set_column(t.schema.get_field_index("rank"), "rank",
+                     pc.cast(t["rank"], pa.int32()))
+    return t.select([c for c in RANK_SCHEMA_COLS if c in t.column_names])
 
 
 def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
     """Drop duplicate (query_id, candidate_id) rows — the D1 pattern
     (SURVEY §2.7): hash-bucket the pair key, then one vectorized Arrow
-    pass per bucket. A pair shared by k blocks arrives k times, and its
-    gram-form distance can differ in the last bits between blocks
-    (byte-identical embeddings give 0 in one block, ~1e-14 in another),
-    so each pair keeps its copy with the lowest (faiss_dist,
-    cosine_dist): the result does not depend on row or block order."""
-    keyed = bucketize(ds, ["query_id", "candidate_id"], num_buckets)
+    pass per bucket. A pair shared by k blocks arrives k times with
+    equal distances (``pair_dist`` depends on the two vectors only), so
+    any copy is kept."""
+    def fn(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("query_id", "ascending"), ("candidate_id", "ascending")])
+        return t.filter(pa.array(run_starts(t, ["query_id", "candidate_id"])))
 
-    def fn(batch: pa.Table) -> pa.Table:
-        t = batch.drop_columns(["__bucket"]).sort_by([
-            ("query_id", "ascending"), ("candidate_id", "ascending"),
-            ("faiss_dist", "ascending"), ("cosine_dist", "ascending"),
-        ])
-        if t.num_rows < 2:
-            return t
-        # keep the first row of each (query_id, candidate_id) run
-        head, tail = t.slice(0, t.num_rows - 1), t.slice(1)
-        new = pc.or_(
-            pc.not_equal(tail["query_id"], head["query_id"]),
-            pc.not_equal(tail["candidate_id"], head["candidate_id"]),
-        )
-        return t.filter(pa.concat_arrays(
-            [pa.array([True])] + new.chunks))
-
-    return keyed.groupby("__bucket").map_groups(fn, batch_format="pyarrow")
+    return bucket_map(ds, ["query_id", "candidate_id"], fn, num_buckets)
 
 
 def _with_pred(pairs: ray.data.Dataset, cfg: EngineConfig, weights_ref, vocab_ref, meta):
@@ -464,10 +429,11 @@ def salt_hot_blocks(
 def blocked_pairs(
     keyed: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
 ) -> ray.data.Dataset:
-    """keyed (block_key + payload) rows → scored within-block pairs,
-    through the segment core (``blocking.segment_pairs``: hash buckets
-    of block keys, one ``score_block_bucket`` call per bucket) behind a
-    sort shuffle of ``_group_width`` blocks. Self-join inputs get hot
+    """keyed (block_key + payload) rows → scored within-block pairs:
+    one ``score_block_bucket`` call (the segment walk and the
+    per-(block, query) selection) per hash bucket of block keys
+    (``blocking.bucket_map``), behind a sort shuffle of
+    ``_group_width`` blocks. Self-join inputs get hot
     blocks tile-salted first (salt_hot_blocks).
 
     ``keyed`` is materialized first when salting is on: the hot-key
@@ -478,18 +444,19 @@ def blocked_pairs(
     since the alternative is recomputing the most expensive stage."""
     if self_join and cfg.blocking.salt_hot_blocks:
         keyed = salt_hot_blocks(keyed.materialize(), cfg)
-    return segment_pairs(keyed, cfg.execution.shuffle_partitions,
-                         width=_group_width(cfg), **_block_walk(cfg, self_join))
+    return bucket_map(keyed, ["block_key"],
+                      functools.partial(score_block_bucket, cfg=cfg,
+                                        self_join=self_join),
+                      cfg.execution.shuffle_partitions, _group_width(cfg))
 
 
 def rank_pairs(pairs: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
     """Final per-query dedup + threshold + top-k + rank over scored
-    pairs (bucketed by query hash; see bucketize), behind a sort
-    shuffle of _group_width blocks."""
-    b = bucketize(pairs, ["query_id"], cfg.execution.shuffle_partitions)
-    return b.repartition(_group_width(cfg)).groupby("__bucket").map_groups(
-        functools.partial(select_bucket, cfg=cfg), batch_format="pandas"
-    )
+    pairs, one ``select_bucket`` call per hash bucket of query ids,
+    behind a sort shuffle of _group_width blocks."""
+    return bucket_map(pairs, ["query_id"],
+                      functools.partial(select_bucket, cfg=cfg),
+                      cfg.execution.shuffle_partitions, _group_width(cfg))
 
 
 class _KeyAndCarry:
@@ -546,23 +513,14 @@ def rank_global(
     # global mode materializes the candidate payload ONCE on the driver and
     # broadcasts it (ray.put) — valid while candidates fit in the object
     # store; beyond that use rank_blocked
-    batches = []
-    n_rows = 0
-    for b in c.iter_batches(batch_format="pyarrow"):
-        n_rows += b.num_rows
-        if n_rows > broadcast_limit:
-            # abort DURING the single driver pass, before the concat +
-            # broadcast can OOM (no extra pipeline consumption for the check)
-            raise ValueError(
-                f"rank_global materializes every candidate on the driver "
-                f"and broadcasts them (>{broadcast_limit} rows seen); use "
-                "rank_blocked for candidate sets past the object-store bound"
-            )
-        batches.append(b)
-    ctab = pa.concat_tables(batches)
+    ctab = collect_side(
+        c, broadcast_limit,
+        f"rank_global materializes every candidate on the driver and "
+        f"broadcasts them (>{broadcast_limit} rows seen); use rank_blocked "
+        "for candidate sets past the object-store bound")
     cand = ctab.filter(ctab["emb_valid"])
     payload_ref = ray.put((
-        emb_matrix(cand["emb"]),
+        to_matrix(cand["emb"], np.float32),
         cand["id"].combine_chunks(),
         cand["orig"].combine_chunks(),
         pc.utf8_length(cand["norm_text"]).to_numpy(),
@@ -581,60 +539,38 @@ def rank_global(
     return rank_pairs(pairs, cfg)
 
 
-_CHUNK = 65536  # candidates per gram block
-
-
 def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table:
     """Per query batch, against the broadcast candidate payload (valid
-    candidates' embeddings, ids, names, normalized lengths): exact
-    distances in blocks of 64 queries × ``_CHUNK`` candidates, keeping
-    the per-query fixpoint set (threshold, ``length_diff``). Ids and
-    names are gathered with Arrow ``take``, so they keep their input
-    types."""
+    candidates' embeddings, ids, names, normalized lengths): the
+    ``dense_pairs`` shortlist of each query's fixpoint set (the
+    threshold of the faiss or cosine metric, within ``length_diff``).
+    Ids and names are gathered with Arrow ``take``, so they keep their
+    input types."""
     c_emb, c_ids, c_orig, c_len = ray.get(payload_ref)
     r = cfg.ranking
-    q_emb = emb_matrix(batch["emb"])
+    q_emb = to_matrix(batch["emb"], np.float32)
     q_valid = batch["emb_valid"].to_numpy()
     q_len = pc.utf8_length(batch["norm_text"]).to_numpy()
-    want_cos = r.calc_cosine or r.ranking_metric == "cosine"
-    qi, ci, fd, cd = [], [], [], []
-    for qs in range(0, len(q_emb), 64):
-        Q64 = q_emb[qs : qs + 64].astype(np.float64)
-        for cs in range(0, len(c_emb), _CHUNK):
-            C = c_emb[cs : cs + _CHUNK].astype(np.float64)
-            qc = Q64 @ C.T
-            d2 = (
-                (Q64 * Q64).sum(axis=1)[:, None]
-                + (C * C).sum(axis=1)[None, :]
-                - 2.0 * qc
-            )
-            np.maximum(d2, 0.0, out=d2)
-            d2 = d2.astype(np.float32)
-            if want_cos:
-                qn = np.linalg.norm(Q64, axis=1)[:, None]
-                cn = np.linalg.norm(C, axis=1)[None, :]
-                cosd = (1.0 - qc / np.maximum(qn * cn, 1e-10)).astype(np.float32)
-            else:
-                cosd = None
-            keep = np.broadcast_to(q_valid[qs : qs + 64, None], d2.shape)
-            if r.ranking_metric in ("faiss", "cosine"):
-                metric = cosd if r.ranking_metric == "cosine" else d2
-                keep = keep & (metric <= r.selection_threshold)
-            if r.length_diff is not None:
-                keep = keep & (np.abs(c_len[None, cs : cs + _CHUNK]
-                                      - q_len[qs : qs + 64, None]) <= r.length_diff)
-            i, j = np.nonzero(keep)
-            qi.append(i + qs)
-            ci.append(j + cs)
-            fd.append(d2[i, j])
-            cd.append(np.full(len(i), np.nan, np.float32) if cosd is None else cosd[i, j])
-    qi, ci = (pa.array(np.concatenate(x or [np.zeros(0, np.int64)])) for x in (qi, ci))
-    fd, cd = (np.concatenate(x or [np.zeros(0, np.float32)]) for x in (fd, cd))
+
+    def allow(rows, cols):
+        ok = q_valid[rows, None]
+        if r.length_diff is not None:
+            ok = ok & (np.abs(c_len[None, cols] - q_len[rows, None]) <= r.length_diff)
+        return ok
+
+    # no shortlist under the conf metric: pred_score comes later
+    thr = {"faiss": r.selection_threshold, "cosine": 1.0 - r.selection_threshold}
+    qi, ci, fd, cos = dense_pairs(
+        q_emb, c_emb, by="l2" if r.ranking_metric == "faiss" else "cos",
+        threshold=thr.get(r.ranking_metric), allow=allow)
+    if not (r.calc_cosine or r.ranking_metric == "cosine"):
+        cos = np.full(len(qi), np.nan)
+    qi, ci = pa.array(qi), pa.array(ci)
     return pa.table({
         "query_id": batch["id"].take(qi),
         "query": batch["orig"].take(qi),
         "candidate_id": c_ids.take(ci),
         "candidate": c_orig.take(ci),
-        "faiss_dist": pa.array(fd),
-        "cosine_dist": pa.array(cd),
+        "faiss_dist": pa.array(fd.astype(np.float32)),
+        "cosine_dist": pa.array((1.0 - cos).astype(np.float32)),
     })

@@ -144,13 +144,3 @@ class PairScorer(_ModelStage):
             cols["lev_dist"] = pa.array(levenshtein_batch(s1, s2).astype(np.int64))
             cols["jw_sim"] = pa.array(jaro_winkler_batch(s1, s2))
         return pa.table(cols)
-
-
-def emb_matrix(batch_col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """fixed_size_list column → [N, D] float32 view (zero-copy when
-    possible)."""
-    if isinstance(batch_col, pa.ChunkedArray):
-        batch_col = batch_col.combine_chunks()
-    D = batch_col.type.list_size
-    flat = batch_col.flatten().to_numpy(zero_copy_only=False)
-    return flat.reshape(-1, D)

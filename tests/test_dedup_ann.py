@@ -18,6 +18,7 @@ from deezymatch_ray.functions.dedup import (
     word_shingles,
     words,
 )
+from deezymatch_ray.functions.vectors import to_matrix
 from deezymatch_ray.stages import ann, dedup
 
 SF = "/root/testdata/sf0.001"
@@ -549,11 +550,11 @@ def test_to_matrix_precision_identical_across_layouts():
         [list(r) for r in data[:2]] + [None] + [list(r) for r in data[2:]],
         type=pa.list_(pa.float64()),
     )
-    fast = ann._to_matrix(fsl, dtype=np.float64)
-    slow = ann._to_matrix(lst_with_null, dtype=np.float64, on_null="nan")
+    fast = to_matrix(fsl, dtype=np.float64)
+    slow = to_matrix(lst_with_null, dtype=np.float64, on_null="nan")
     np.testing.assert_array_equal(fast, data)  # bit-exact, native precision
     np.testing.assert_array_equal(slow[[0, 1, 3, 4]], data)
     assert np.isnan(slow[2]).all() and slow.shape == (5, 3)
     # default contract: null rows are rejected loudly, never ranked
     with pytest.raises(ValueError, match="null"):
-        ann._to_matrix(lst_with_null, dtype=np.float64)
+        to_matrix(lst_with_null, dtype=np.float64)

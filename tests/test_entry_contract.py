@@ -81,3 +81,12 @@ def test_banded_near_dup_rows_match_oracle(entry, name):
     assert sorted(got[cols].itertuples(index=False, name=None)) == sorted(
         want.itertuples(index=False, name=None)
     )
+
+
+def test_rank_part_names_passes_its_numpy_pin(entry):
+    """rank_part_names asserts in-query that its ranked pairs equal the
+    NumPy oracle's; part names repeat, so more than k candidates can
+    tie at a distance of exactly 0, and the pin holds only if ties go
+    by candidate_id whatever the session's CPU count."""
+    df = entry.queries()["rank_part_names"](SF01)
+    assert len(df) > 0
