@@ -46,8 +46,8 @@ from deezymatch_ray.model.train import SiameseTrainer, fit
 from deezymatch_ray.model.vocab import load_vocab, save_vocab
 from deezymatch_ray.pipelines.linkage import load_model_artifacts
 from deezymatch_ray.sources.pairs import read_pairs_tsv, stratified_split
-from deezymatch_ray.stages.ranking import rank_blocked, rank_global
-from deezymatch_ray.stages.scoring import Embedder, PairScorer
+from deezymatch_ray.stages.ranking import prepare_side, rank_blocked, rank_global
+from deezymatch_ray.stages.scoring import PairScorer
 
 
 def _as_pairs_ds(pairs: Any, one_column: bool = False) -> ray.data.Dataset:
@@ -242,26 +242,9 @@ def inference(
     if cutoff is not None:
         pairs_ds = pairs_ds.limit(2 * cutoff)
     if mode == "vect":
-        import pyarrow as pa
-
-        from deezymatch_ray.functions.text import normalize_array
-
-        def norm(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "s1": batch["s1"],
-                "norm_text": normalize_array(
-                    batch["s1"], cfg.preprocessing.uni2ascii,
-                    cfg.preprocessing.lowercase, cfg.preprocessing.strip,
-                    cfg.preprocessing.only_latin_letters),
-            })
-
-        out = pairs_ds.map_batches(norm, batch_format="pyarrow").map_batches(
-            Embedder(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-                     text_col="norm_text", preprocessing=cfg.preprocessing,
-                     tokenization=cfg.tokenization),
-            batch_format="pyarrow",
-            batch_size=cfg.execution.score_batch_size,
-        )
+        # the ranker's side preparation, its id and text both s1
+        out = prepare_side(pairs_ds, cfg, weights_ref, vocab_ref, meta, "s1", "s1")
+        out = out.drop_columns(["orig"]).rename_columns({"id": "s1"})
         if cutoff is not None:
             out = _materialize_ordered(
                 out.filter(expr="emb_valid == True").limit(cutoff)

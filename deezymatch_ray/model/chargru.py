@@ -276,12 +276,14 @@ class CharGRU:
             return neg.max(axis=1)
         if mode == "attention":
             # per-timestep MLP attention (rnn_networks.py:920-940), masked
-            a1 = np.maximum(rnn_out @ self.w["attn.W1"].T + self.w["attn.b1"], 0.0)
-            scores = (a1 @ self.w["attn.W2"].T + self.w["attn.b2"])[:, :, 0]  # [B,T]
+            a1 = np.maximum(row_matmul(rnn_out, self.w["attn.W1"]) + self.w["attn.b1"], 0.0)
+            scores = (row_matmul(a1, self.w["attn.W2"]) + self.w["attn.b2"])[:, :, 0]  # [B,T]
             scores = np.where(mask[:, :, 0], scores, -np.inf)
             scores = scores - scores.max(axis=1, keepdims=True)
             wts = np.exp(scores)
-            wts = wts / wts.sum(axis=1, keepdims=True)
+            # sequential sum: padded steps' zeros leave it unchanged, so
+            # it does not depend on the batch's width (a pairwise .sum() does)
+            wts = wts / np.cumsum(wts, axis=1)[:, -1:]
             return (rnn_out * wts[:, :, None]).sum(axis=1)
         raise ValueError(f"unknown pooling_mode {mode}")
 
@@ -307,11 +309,13 @@ class CharGRU:
         len2: np.ndarray,
     ) -> np.ndarray:
         """Logits [B,2]; for ``hstates_cosine`` returns [1-cos, cos] directly
-        (rnn_networks.py:1093-1099).
+        (rnn_networks.py:1093-1099)."""
+        return self.head(*self.legs(x1, len1, x2, len2), logits=True)
 
-        Both legs share weights (rnn_networks.py:988-993), so they run as
-        ONE doubled batch: half the Python step-loop overhead, 2× larger
-        matmuls — identical math."""
+    def legs(self, x1, len1, x2, len2) -> tuple[np.ndarray, np.ndarray]:
+        """The two pooled legs of a pair batch. Both legs share weights
+        (rnn_networks.py:988-993), so they run as ONE doubled batch: half
+        the Python step-loop overhead, 2× larger matmuls — identical math."""
         B1, T1 = x1.shape
         B2, T2 = x2.shape
         T = max(T1, T2)
@@ -322,25 +326,32 @@ class CharGRU:
         out, h_n = self.encode(x, lens)
         p1 = self.pool(out[:B1], h_n[:, :, :B1], np.asarray(len1))
         p2 = self.pool(out[B1:], h_n[:, :, B1:], np.asarray(len2))
+        return p1, p2
+
+    def head(self, p1: np.ndarray, p2: np.ndarray, logits: bool = False) -> np.ndarray:
+        """The siamese head on pooled legs: combine → fc1 → relu → fc2 →
+        softmax column 1, the match confidence (rnn_networks.py:1101-1103,
+        :613-620); the [B,2] logits with ``logits``. ``hstates_cosine``
+        has no fc layers: its confidence is the legs' cosine. fc1 and fc2
+        run through ``row_matmul``, so a pair's score is a function of
+        its two legs alone, whatever batch it is scored in."""
         if self.pooling_mode == "hstates_cosine":
             num = (p1 * p2).sum(axis=1)
             den = np.maximum(
                 np.linalg.norm(p1, axis=1) * np.linalg.norm(p2, axis=1), 1e-10
             )
             cos = num / den
-            return np.stack([1.0 - cos, cos], axis=1)
-        comb = self.combine(p1, p2)
-        y = np.maximum(comb @ self.w["fc1.W"].T + self.w["fc1.b"], 0.0)
-        return y @ self.w["fc2.W"].T + self.w["fc2.b"]
+            return np.stack([1.0 - cos, cos], axis=1) if logits else cos
+        y = np.maximum(row_matmul(self.combine(p1, p2), self.w["fc1.W"]) + self.w["fc1.b"], 0.0)
+        out = row_matmul(y, self.w["fc2.W"]) + self.w["fc2.b"]
+        if logits:
+            return out
+        e = np.exp(out - out.max(axis=1, keepdims=True))
+        return (e[:, 1] / e.sum(axis=1)).astype(np.float32)
 
     def match_probability(self, x1, len1, x2, len2) -> np.ndarray:
         """softmax column 1 — the match confidence (rnn_networks.py:613-620)."""
-        logits = self.forward(x1, len1, x2, len2)
-        if self.pooling_mode == "hstates_cosine":
-            return logits[:, 1]
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        return (e[:, 1] / e.sum(axis=1)).astype(np.float32)
+        return self.head(*self.legs(x1, len1, x2, len2))
 
     def embed(self, x: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference "vect" mode: last layer's final fwd/bwd states

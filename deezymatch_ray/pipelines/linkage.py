@@ -36,8 +36,6 @@ from deezymatch_ray.stages.ranking import (
     blocked_pairs,
     dedup_pairs,
     prepare_side,
-    rank_blocked,
-    rank_global,
 )
 
 _REPO_ARTIFACT_DIR = os.path.join(
@@ -165,21 +163,6 @@ def docs_with_join_text(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(add_join_text, batch_format="pyarrow").select_columns(
         ["doc_id", "join_text"]
     )
-
-
-def score_self_pairs(
-    docs: ray.data.Dataset,
-    cfg: EngineConfig,
-    weights_ref,
-    vocab_ref,
-    meta: dict,
-) -> ray.data.Dataset:
-    """Blocked self-join: (query_id, candidate_id, faiss_dist,
-    cosine_dist) for unordered within-block doc pairs under threshold."""
-    prepared = prepare_side(docs, cfg, weights_ref, vocab_ref, meta,
-                            "doc_id", "join_text")
-    keyed = prepared.map_batches(_KeyAndCarry(cfg), batch_format="pyarrow")
-    return blocked_pairs(keyed, cfg, self_join=True)
 
 
 def cluster_near_dup_documents(
@@ -381,10 +364,17 @@ def link_documents(
     agrees (Jaro-Winkler or Levenshtein gate) — transitive clustering
     punishes false edges far more than missed ones. ``edge_threshold``
     overrides the confidence threshold when given.
+
+    The GRU runs once per doc: the blocked walk scores pairs with the
+    siamese head on the docs' pooled legs; the classical metrics run on
+    the pairs over the confidence threshold only.
     """
     import dataclasses
 
     import pyarrow.compute as pc
+
+    from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
+    from deezymatch_ray.stages.scoring import _ModelStage
 
     cfg = cfg or DEFAULT_CONFIG
     weights_ref, vocab_ref, meta, mcfg = load_model_artifacts(
@@ -403,54 +393,39 @@ def link_documents(
         ranking=dataclasses.replace(cfg.ranking, selection_threshold=shortlist_thr),
     )
     jt = docs_with_join_text(docs)
+
+    def embed(part: ray.data.Dataset) -> ray.data.Dataset:
+        return prepare_side(part, cfg, weights_ref, vocab_ref, meta,
+                            "doc_id", "join_text", with_leg=True)
+
     if checkpoint_dir is not None:
         # resumable variant: the embedding stage (the expensive per-row
         # work) runs through the partitioned-manifest machinery — a killed
-        # run re-embeds only unfinished partitions (state/checkpoint.py)
+        # run re-embeds only unfinished partitions (state/checkpoint.py).
+        # The stage name names its output: partitions an older embed
+        # stage wrote (no pooled legs) are re-embedded, not read.
         from deezymatch_ray.state.checkpoint import read_stage_output, run_stage
 
-        def embed_stage(part: ray.data.Dataset) -> ray.data.Dataset:
-            return prepare_side(part, cfg, weights_ref, vocab_ref, meta,
-                                "doc_id", "join_text")
-
-        run_stage(jt, embed_stage, checkpoint_dir, "embed", "doc_id",
+        run_stage(jt, embed, checkpoint_dir, "embed_leg", "doc_id",
                   n_partitions=cfg.execution.checkpoint_partitions)
         prepared = read_stage_output(checkpoint_dir)
-        keyed = prepared.map_batches(_KeyAndCarry(cfg), batch_format="pyarrow")
-        pairs = blocked_pairs(keyed, cfg, self_join=True)
     else:
-        pairs = score_self_pairs(jt, cfg, weights_ref, vocab_ref, meta)
-    # D1 pair dedup (SURVEY §2.7): a pair sharing k block keys is emitted k
-    # times with equal distances; dedup BEFORE the model re-scores
+        prepared = embed(jt)
+    pairs = blocked_pairs(prepared, cfg, self_join=True, key=_KeyAndCarry(cfg),
+                          head=_ModelStage(weights_ref, vocab_ref, meta))
+    # D1 pair dedup (SURVEY §2.7): a pair sharing k block keys is emitted
+    # k times with equal distances and scores
     pairs = dedup_pairs(pairs, cfg.execution.shuffle_partitions)
-    from deezymatch_ray.stages.scoring import PairScorer
-
-    scored = pairs.map_batches(
-        PairScorer(
-            weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-            s1_col="query", s2_col="candidate", with_classical=True,
-            # ids + scores only: the edge filter never reads the pair
-            # strings, so they stop traveling through the scored stream
-            emit=("query_id", "candidate_id"),
-            preprocessing=cfg.preprocessing, tokenization=cfg.tokenization,
-        ),
-        batch_format="pyarrow",
-        batch_size=cfg.execution.score_batch_size,
-    )
 
     def to_edges(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.greater_equal(batch["pred_score"], conf_thr),
-            pc.or_(
-                pc.greater_equal(batch["jw_sim"], jw_gate),
-                pc.less_equal(batch["lev_dist"], lev_gate),
-            ),
-        )
-        t = batch.filter(pc.fill_null(keep, False))
+        t = batch.filter(pc.greater_equal(batch["pred_score"], conf_thr))
+        q, c = t["query"].to_pylist(), t["candidate"].to_pylist()
+        agree = (jaro_winkler_batch(q, c) >= jw_gate) | (levenshtein_batch(q, c) <= lev_gate)
+        t = t.filter(pa.array(agree))
         return pa.table({"src": t["query_id"], "dst": t["candidate_id"]})
 
     return _cluster(
-        scored.map_batches(to_edges, batch_format="pyarrow"),
+        pairs.map_batches(to_edges, batch_format="pyarrow"),
         jt.select_columns(["doc_id"]), "doc_id", distributed_cc,
         cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
     )

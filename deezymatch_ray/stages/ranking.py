@@ -10,7 +10,8 @@ Reproduces the reference ``candidate_ranker`` result set
   K2). We compute that fixpoint directly.
 - ``faiss_dist`` is squared L2 (faiss IndexFlatL2 convention);
   ``cosine_dist`` = 1 − cosine similarity (:420-429); ``pred_score`` =
-  siamese p1 (:431-441). Both distances come from
+  siamese p1 (:431-441), in the blocked plan the head alone on the
+  embedder's pooled legs (bit-equal to a full forward). Both distances come from
   ``functions.vectors.pair_dist``, so a pair's value depends only on
   its two embeddings, never on the plan or batch layout: identical
   embeddings (byte-identical names) give a ``faiss_dist`` of exactly 0.
@@ -103,10 +104,11 @@ def prepare_side(
     meta: dict,
     id_col: str,
     text_col: str,
+    with_leg: bool = False,
 ) -> ray.data.Dataset:
     """Normalize + embed one side; output (id, orig, norm_text, emb,
-    emb_valid). Projection happens here — spans/media never travel
-    further (SURVEY §7.4 wide-row rule)."""
+    emb_valid[, leg for the siamese head with ``with_leg``]). Projection
+    happens here — spans/media never travel further (SURVEY §7.4)."""
     from deezymatch_ray.functions.text import normalize_array
 
     prep = cfg.preprocessing
@@ -124,13 +126,14 @@ def prepare_side(
 
     return ds.map_batches(norm_batch, batch_format="pyarrow").map_batches(
         Embedder(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-                 text_col="norm_text", preprocessing=cfg.preprocessing,
-                 tokenization=cfg.tokenization),
+                 text_col="norm_text", with_leg=with_leg,
+                 preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
         batch_format="pyarrow",
         batch_size=cfg.execution.score_batch_size,
     )
 
 
+_HEAD_SLAB = 1 << 16  # pairs per siamese-head call in a bucket
 _TILE = "\x1ftile:"  # salted tile keys: "<block_key>\x1ftile:a-b"
 
 
@@ -171,8 +174,8 @@ def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
         a, b = (np.concatenate(x) for x in zip(*chunks))
         keep = seg["emb_valid"][a] & seg["emb_valid"][b]
         if r.length_diff is not None:
-            lens = np.array([np.nan if s is None else len(s)
-                             for s in seg["norm_text"]])
+            # NaN for a null text: it never pairs
+            lens = seg["__len"]
             keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
         a, b = a[keep], b[keep]
         if self_join:
@@ -191,17 +194,22 @@ def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
 
 
 def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
-                       self_join: bool = False) -> pa.Table:
+                       self_join: bool = False, head=None) -> pa.Table:
     """Score every block of one hash bucket (``blocked_pairs``' per-bucket
     step, callable in-process): one ``walk_segments`` pass, one
     ``pair_dist`` call over the bucket's pairs. Blocks over
     ``max_block_size`` members or ``max_pairs_per_block`` pairs are
     skipped with a warning, except salted tiles. Under the faiss and
     cosine metrics each (block, query) keeps only its own selection:
-    a query's global selection is a subset of the union of these."""
+    a query's global selection is a subset of the union of these.
+    ``pred_score``: ``head.head`` (a ``scoring._ModelStage``) on the
+    kept pairs' legs, NaN without a head."""
     r = cfg.ranking
     want_cos = r.calc_cosine or r.ranking_metric == "cosine"
     t = t.append_column("__row", pa.array(np.arange(t.num_rows)))
+    if r.length_diff is not None:
+        t = t.append_column("__len", pc.fill_null(
+            pc.cast(pc.utf8_length(t["norm_text"]), pa.float64()), np.nan))
     pairs = walk_segments(t, **_block_walk(cfg, self_join))
     emb = to_matrix(t["emb"], np.float32)
     fd, cos = pair_dist(emb, emb, pairs["__qrow"].to_numpy(),
@@ -210,17 +218,22 @@ def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
     pairs = pairs.append_column("faiss_dist", pa.array(fd.astype(np.float32)))
     pairs = pairs.append_column("cosine_dist", pa.array(cd.astype(np.float32)))
     if r.ranking_metric != "conf":
-        return select_bucket(pairs, cfg=cfg, group=("__qrow",)).drop_columns(["rank"])
-    return pairs.drop_columns(["__qrow", "__crow"])
+        pairs = _select(pairs, cfg, ("__qrow",))
+    pred = np.full(pairs.num_rows, np.nan, dtype=np.float32)
+    if head is not None:
+        leg = to_matrix(t["leg"], np.float32)
+        q, c = pairs["__qrow"].to_numpy(), pairs["__crow"].to_numpy()
+        # slabs bound the gathered legs (the conf metric scores every
+        # walked pair); a pair's score depends on its two legs alone
+        for s in (slice(i, i + _HEAD_SLAB) for i in range(0, len(q), _HEAD_SLAB)):
+            pred[s] = head.head(leg[q[s]], leg[c[s]])
+    pairs = pairs.append_column("pred_score", pa.array(pred))
+    return pairs.select([n for n in RANK_SCHEMA_COLS[:-1] if n in pairs.column_names])
 
 
-def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.Table:
-    """Per-``group`` selection over a whole hash bucket, in the rank
-    schema (int32 ``rank``): dedup, threshold on the ranking metric,
-    (metric, candidate_id) order, top-k, rank
-    (candidateRanker.py:483-544)."""
+def _select(t: pa.Table, cfg: EngineConfig, group) -> pa.Table:
     r = cfg.ranking
-    t = select_topk(
+    return select_topk(
         t, _metric_column(r.ranking_metric), r.num_candidates, group=group,
         descending=r.ranking_metric == "conf",
         threshold=r.selection_threshold,
@@ -228,6 +241,14 @@ def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.
         # candidate SPELLINGS collapse to the lowest-(metric, id) row
         dedup_string="candidate" if r.dedup_on == "candidate_string" else None,
     )
+
+
+def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.Table:
+    """Per-``group`` selection over a whole hash bucket, in the rank
+    schema (int32 ``rank``): dedup, threshold on the ranking metric,
+    (metric, candidate_id) order, top-k, rank
+    (candidateRanker.py:483-544)."""
+    t = _select(t, cfg, group)
     t = t.set_column(t.schema.get_field_index("rank"), "rank",
                      pc.cast(t["rank"], pa.int32()))
     return t.select([c for c in RANK_SCHEMA_COLS if c in t.column_names])
@@ -246,29 +267,6 @@ def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset
     return bucket_map(ds, ["query_id", "candidate_id"], fn, num_buckets)
 
 
-def _with_pred(pairs: ray.data.Dataset, cfg: EngineConfig, weights_ref, vocab_ref, meta):
-    """Attach pred_score via PairScorer (needed for the 'conf' metric or
-    calc_predict; skipped otherwise — the reference only runs the model
-    when asked, candidateRanker.py:431-441)."""
-    return pairs.map_batches(
-        PairScorer(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-                   s1_col="query", s2_col="candidate", with_classical=False,
-                   preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
-        batch_format="pyarrow",
-        batch_size=cfg.execution.score_batch_size,
-    )
-
-
-def _ensure_pred_col(ds: ray.data.Dataset) -> ray.data.Dataset:
-    def add_nan(batch: pa.Table) -> pa.Table:
-        if "pred_score" in batch.column_names:
-            return batch
-        return batch.append_column(
-            "pred_score", pa.array(np.full(len(batch), np.nan, dtype=np.float32))
-        )
-    return ds.map_batches(add_nan, batch_format="pyarrow")
-
-
 def rank_blocked(
     queries: ray.data.Dataset,
     candidates: ray.data.Dataset,
@@ -278,9 +276,17 @@ def rank_blocked(
     meta: dict,
     query_id="id", query_text="name", cand_id="id", cand_text="name",
 ) -> ray.data.Dataset:
-    """Blocked ranking plan. Input datasets carry (id, text) columns."""
-    q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id, query_text)
-    c = prepare_side(candidates, cfg, weights_ref, vocab_ref, meta, cand_id, cand_text)
+    """Blocked ranking plan. Input datasets carry (id, text) columns.
+    Under the 'conf' metric or calc_predict the sides carry their pooled
+    legs and the bucket kernel scores pairs with the siamese head (the
+    model runs only when asked, candidateRanker.py:431-441)."""
+    from deezymatch_ray.stages.scoring import _ModelStage
+
+    want_pred = cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict
+    q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id,
+                     query_text, with_leg=want_pred)
+    c = prepare_side(candidates, cfg, weights_ref, vocab_ref, meta, cand_id,
+                     cand_text, with_leg=want_pred)
 
     def tag(role):
         def fn(batch: pa.Table) -> pa.Table:
@@ -290,23 +296,13 @@ def rank_blocked(
     both = q.map_batches(tag("q"), batch_format="pyarrow").union(
         c.map_batches(tag("c"), batch_format="pyarrow")
     )
-    keyed = both.map_batches(
-        _KeyAndCarry(cfg), batch_format="pyarrow"
-    )
-    pairs = blocked_pairs(keyed, cfg)
-    if cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict:
-        # D1 dedup before the model pass: a pair surfaces once per shared
-        # block key with identical distances — scoring each copy would
-        # multiply the siamese forward cost by the key multiplicity
-        pairs = dedup_pairs(pairs, cfg.execution.shuffle_partitions)
-        pairs = _with_pred(pairs, cfg, weights_ref, vocab_ref, meta)
-    else:
-        pairs = _ensure_pred_col(pairs)
-    return rank_pairs(pairs, cfg)
+    head = _ModelStage(weights_ref, vocab_ref, meta) if want_pred else None
+    return rank_pairs(blocked_pairs(both, cfg, key=_KeyAndCarry(cfg), head=head), cfg)
 
 
 def salt_hot_blocks(
     keyed: ray.data.Dataset, cfg: EngineConfig, id_col: str = "id",
+    census: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """Skew-aware repartitioning of hot self-join blocks (SURVEY §4).
 
@@ -324,15 +320,15 @@ def salt_hot_blocks(
     carries no signal at that frequency) with one driver-side warning
     giving the number of dropped keys and their keyed rows.
 
-    The hot-key census is Arrow end to end: each batch is reduced to
-    one (block_key, n) row per distinct key by an Arrow group_by, so
-    the census never passes over the keyed payload twice. Up to
-    ``driver_census_limit`` keyed rows, the driver reads those partials
-    as Arrow batches and sums them with one more group_by (a Ray
-    shuffle's fixed cost would dwarf the work); past it a Ray ``Sum``
-    aggregate sums them. Only the hot keys become Python objects, and
-    the re-emit is an Arrow UDF too: no driver or worker step reads the
-    keyed rows one by one.
+    The hot-key census runs on slim keys: the keyed rows' ``block_key``
+    column (``census``, by default projected from ``keyed``),
+    materialized once so its row count is free. Each batch is reduced
+    to one (block_key, n) row per distinct key by an Arrow group_by. Up
+    to ``driver_census_limit`` keyed rows, the driver reads those
+    partials as Arrow batches and sums them with one more group_by (a
+    Ray shuffle's fixed cost would dwarf the work); past it a Ray
+    ``Sum`` aggregate sums them. Only the hot keys become Python
+    objects, and the re-emit is an Arrow UDF streaming over ``keyed``.
     """
     import math
     import warnings
@@ -346,11 +342,10 @@ def salt_hot_blocks(
         t = batch.group_by("block_key").aggregate([("block_key", "count")])
         return pa.table({"block_key": t["block_key"], "n": t["block_key_count"]})
 
-    partials = keyed.select_columns(["block_key"]).map_batches(
-        partial_counts, batch_format="pyarrow"
-    )
-    if keyed.count() <= cfg.blocking.driver_census_limit:
-        # callers pass keyed MATERIALIZED, so count() here is free
+    census = (keyed if census is None else census).select_columns(
+        ["block_key"]).materialize()
+    partials = census.map_batches(partial_counts, batch_format="pyarrow")
+    if census.count() <= cfg.blocking.driver_census_limit:
         parts = list(partials.iter_batches(batch_format="pyarrow",
                                            batch_size=None))
         if not parts:
@@ -427,26 +422,33 @@ def salt_hot_blocks(
 
 
 def blocked_pairs(
-    keyed: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
+    rows: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
+    key=None, head=None,
 ) -> ray.data.Dataset:
-    """keyed (block_key + payload) rows → scored within-block pairs:
-    one ``score_block_bucket`` call (the segment walk and the
-    per-(block, query) selection) per hash bucket of block keys
+    """Keyed (block_key + payload) rows → scored within-block pairs:
+    one ``score_block_bucket`` call (the segment walk, the
+    per-(block, query) selection and, with ``head``, the siamese head
+    on the pairs' legs) per hash bucket of block keys
     (``blocking.bucket_map``), behind a sort shuffle of
-    ``_group_width`` blocks. Self-join inputs get hot
-    blocks tile-salted first (salt_hot_blocks).
-
-    ``keyed`` is materialized first when salting is on: the hot-key
-    census, the salted re-emit and the pair groupby would otherwise each
-    RE-EXECUTE the lazy upstream (including the embedding stage —
-    observed 3× the flagship's embed cost). Materialize pins blocks to
-    the (spill-backed) object store — the right trade even at scale,
-    since the alternative is recomputing the most expensive stage."""
-    if self_join and cfg.blocking.salt_hot_blocks:
-        keyed = salt_hot_blocks(keyed.materialize(), cfg)
+    ``_group_width`` blocks. With ``key`` (a ``_KeyAndCarry``), ``rows``
+    are prepared rows that ``key`` explodes on their way into the
+    shuffle. Self-join inputs get hot blocks tile-salted first
+    (salt_hot_blocks), after ``rows`` are materialized: the census and
+    the re-emit would otherwise each RE-EXECUTE the lazy upstream, the
+    embedding stage included. With ``key`` that pins one prepared row
+    per doc and the census counts the slim ``key.block_keys``; the
+    keyed rows (about a dozen per doc, each with its vectors) stream
+    once into the shuffle, never held in the object store."""
+    salt = self_join and cfg.blocking.salt_hot_blocks
+    if salt:
+        rows = rows.materialize()
+    keyed = rows if key is None else rows.map_batches(key, batch_format="pyarrow")
+    if salt:
+        keyed = salt_hot_blocks(keyed, cfg, census=None if key is None else
+                                rows.map_batches(key.block_keys, batch_format="pyarrow"))
     return bucket_map(keyed, ["block_key"],
                       functools.partial(score_block_bucket, cfg=cfg,
-                                        self_join=self_join),
+                                        self_join=self_join, head=head),
                       cfg.execution.shuffle_partitions, _group_width(cfg))
 
 
@@ -461,8 +463,9 @@ def rank_pairs(pairs: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
 
 class _KeyAndCarry:
     """Explode each prepared row to (block_key, id, orig, norm_text, emb,
-    emb_valid, role) rows — key derivation + payload carry in one
-    vectorized step."""
+    emb_valid[, leg][, role]) rows — key derivation + payload carry in
+    one vectorized step. ``block_keys`` derives the same keys without
+    the payload, for the hot-key census."""
 
     def __init__(self, cfg: EngineConfig):
         self.derive = DeriveBlockKeys(
@@ -486,6 +489,9 @@ class _KeyAndCarry:
         take = pc.index_in(keys["id"], value_set=batch["id"].combine_chunks())
         carried = batch.take(take)
         return carried.append_column("block_key", keys["block_key"])
+
+    def block_keys(self, batch: pa.Table) -> pa.Table:
+        return self.derive(batch).select(["block_key"])
 
 
 def rank_global(
@@ -533,9 +539,13 @@ def rank_global(
         batch_size=256,
     )
     if cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict:
-        pairs = _with_pred(pairs, cfg, weights_ref, vocab_ref, meta)
-    else:
-        pairs = _ensure_pred_col(pairs)
+        # the model runs only when asked (candidateRanker.py:431-441);
+        # PairScorer replaces the NaN pred_score column
+        pairs = pairs.map_batches(
+            PairScorer(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
+                       s1_col="query", s2_col="candidate", with_classical=False,
+                       preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
+            batch_format="pyarrow", batch_size=cfg.execution.score_batch_size)
     return rank_pairs(pairs, cfg)
 
 
@@ -573,4 +583,5 @@ def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table
         "candidate": c_orig.take(ci),
         "faiss_dist": pa.array(fd.astype(np.float32)),
         "cosine_dist": pa.array((1.0 - cos).astype(np.float32)),
+        "pred_score": pa.array(np.full(len(qi), np.nan, dtype=np.float32)),
     })

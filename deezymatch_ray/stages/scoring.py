@@ -14,11 +14,14 @@ replacement for the reference's driver-resident model
 - ``Embedder`` ≙ inference ``vect`` mode (rnn_networks.py:874-918):
   emits the last layer's final fwd/bwd GRU states as one fixed-size-list
   column — replacing the reference's three positionally-aligned sidecar
-  files (combineVecs.py:84-150) with a co-traveling Arrow column.
+  files (combineVecs.py:84-150) with a co-traveling Arrow column; for
+  ranking's bucket kernel, which scores pairs with ``_ModelStage.head``
+  alone, also each row's pooled leg: the GRU runs once per string.
 - ``PairScorer`` ≙ ``candidate_conf_calc`` (utils_candidate_ranker.py:
   88-133): re-tokenizes (s1, s2) pairs and runs the full siamese
   forward, emitting the match probability p1 plus classical
-  Levenshtein / Jaro-Winkler baseline scores.
+  Levenshtein / Jaro-Winkler baseline scores, for the pairs that arrive
+  without embeddings: ``api.inference`` and ``rank_global``.
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ class _ModelStage:
             state = _TASK_STAGE_CACHE[self.token] = (model, _fetch(self.vocab_ref))
         return state
 
+    def head(self, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+        """``CharGRU.head`` with this worker's cached model: the match
+        probability of pooled legs. The fc weights stay in the per-worker
+        cache; a task closure carries only this stage's refs."""
+        return self._state()[0].head(p1, p2)
+
     def _encode(self, texts: pa.Array | pa.ChunkedArray):
         norm = normalize_array(
             texts, uni2ascii=self.prep.uni2ascii, lowercase=self.prep.lowercase,
@@ -93,21 +102,28 @@ class Embedder(_ModelStage):
     """(…, <text_col>) → append ``emb`` fixed_size_list<float32>[2H]
     (fwd ++ bwd, the ranker's layout: candidateRanker.py:313) and
     ``emb_valid`` bool (False = row failed the missing-char filter,
-    data_processing.py:380-397 — kept, flagged, excluded from search)."""
+    data_processing.py:380-397 — kept, flagged, excluded from search).
+    ``with_leg`` also appends ``leg``, the row's pooled leg
+    (``CharGRU.pool``) from the same GRU pass, for ``head``."""
 
-    def __init__(self, weights_ref, vocab_ref, meta, text_col="norm_text", **kw):
+    def __init__(self, weights_ref, vocab_ref, meta, text_col="norm_text",
+                 with_leg=False, **kw):
         super().__init__(weights_ref, vocab_ref, meta, **kw)
         self.text_col = text_col
+        self.with_leg = with_leg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x, lens, valid = self._encode(batch[self.text_col])
-        fwd, bwd = self._state()[0].embed(x, lens)
-        vec = np.concatenate([fwd, bwd], axis=1) if bwd is not None else fwd
-        vec = np.ascontiguousarray(vec, dtype=np.float32)
-        vec[~valid] = 0.0
-        D = vec.shape[1]
-        col = pa.FixedSizeListArray.from_arrays(pa.array(vec.reshape(-1)), D)
-        batch = batch.append_column("emb", col)
+        model = self._state()[0]
+        out, h_n = model.encode(x, lens)
+        vecs = {"emb": np.concatenate(list(h_n[-1]), axis=1)}
+        if self.with_leg:
+            vecs["leg"] = model.pool(out, h_n, np.asarray(lens))
+        for name, vec in vecs.items():
+            vec = np.ascontiguousarray(vec, dtype=np.float32)
+            vec[~valid] = 0.0
+            batch = batch.append_column(name, pa.FixedSizeListArray.from_arrays(
+                pa.array(vec.reshape(-1)), vec.shape[1]))
         return batch.append_column("emb_valid", pa.array(valid))
 
 

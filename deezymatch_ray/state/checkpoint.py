@@ -13,9 +13,9 @@ SURVEY §4). Our contract, per the north rule:
   data file is complete, so a crash between the two leaves a re-runnable
   partition, never a corrupt "done" marker.
 - On resume, ``run_stage`` lists completed manifest rows whose
-  ``input_fingerprint`` still matches and filters those buckets OUT of
-  the input before executing — only unfinished/invalidated partitions
-  re-run. A finished run is a no-op.
+  ``stage`` name and ``input_fingerprint`` still match and filters
+  those buckets OUT of the input before executing — only
+  unfinished/invalidated partitions re-run. A finished run is a no-op.
 
 The fingerprint is an order-independent hash of the partition's **row
 content** (key column + every primitive column by default), so both a
@@ -245,10 +245,11 @@ def run_stage(
     )
     stats = _partition_stats(keyed, cols, n_partitions)
     manifest = load_manifest(out_dir)
-    pending = [
-        pid for pid in range(n_partitions)
-        if (manifest.get(pid) or {}).get("input_fingerprint") != stats[pid][0]
-    ]
+    # done = written by THIS stage from the same input; a row of another
+    # stage name (an older output format of the stage) re-runs
+    pending = [pid for pid in range(n_partitions)
+               if [manifest.get(pid, {}).get(k) for k in ("stage", "input_fingerprint")]
+               != [stage_name, stats[pid][0]]]
     if not pending:
         return []
 

@@ -117,9 +117,48 @@ def test_link_documents_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ckpt")
     a = link_documents(ds, checkpoint_dir=ck).to_pandas().sort_values("doc_id").reset_index(drop=True)
     m = load_manifest(ck)
-    assert len(m) == 16 and all(r["stage"] == "embed" for r in m.values())
+    assert len(m) == 16 and all(r["stage"] == "embed_leg" for r in m.values())
     # simulate crash: lose one partition's marker + data
     os.remove(os.path.join(ck, "_manifest", "part-00005.json"))
     shutil.rmtree(os.path.join(ck, "part=5"), ignore_errors=True)
     b = link_documents(ds, checkpoint_dir=ck).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_link_documents_re_embeds_a_stale_checkpoint(tmp_path):
+    """A checkpoint whose embed partitions carry no pooled legs (written
+    by an older embed stage, under the stage name "embed") is
+    re-embedded on resume, not read; link with that checkpoint, with a
+    fresh one and without one gives the same partition."""
+    from deezymatch_ray.data.synth import write_documents
+    from deezymatch_ray.pipelines.linkage import (
+        docs_with_join_text,
+        get_or_train_default_model,
+        link_documents,
+        load_model_artifacts,
+    )
+    from deezymatch_ray.sources.spans import read_documents
+    from deezymatch_ray.stages.ranking import prepare_side
+
+    src = write_documents(str(tmp_path / "docs"), 150, seed=23)
+    ds = read_documents(f"{src}/documents_spans.parquet")
+    weights_ref, vocab_ref, meta, cfg = load_model_artifacts(get_or_train_default_model())
+    ck = str(tmp_path / "ckpt")
+    run_stage(docs_with_join_text(ds),
+              lambda part: prepare_side(part, cfg, weights_ref, vocab_ref, meta,
+                                        "doc_id", "join_text"),
+              ck, "embed", "doc_id", n_partitions=16)
+    assert "leg" not in read_stage_output(ck).schema().names
+
+    def run(**kw):
+        out = link_documents(ds, **kw).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    stale = run(checkpoint_dir=ck)
+    m = load_manifest(ck)
+    assert len(m) == 16 and all(r["stage"] == "embed_leg" for r in m.values())
+    assert "leg" in read_stage_output(ck).schema().names
+    plain = run()
+    assert plain["cluster_id"].nunique() < len(plain)  # some docs link
+    assert stale.equals(plain)
+    assert run(checkpoint_dir=str(tmp_path / "fresh")).equals(plain)

@@ -80,6 +80,44 @@ def test_forward_batch_invariance():
             assert abs(full[i] - half1[i]) < 1e-6
 
 
+@pytest.mark.parametrize("pooling", ["hstates_layers_simple", "attention"])
+def test_pair_scores_do_not_depend_on_batching(pooling):
+    """A pair's confidence is a function of its two strings alone: the
+    same 300 ``make_query_candidates`` pairs score bit-identically in
+    one batch and in batches of 1, 3, 7, 33 and 101. OpenBLAS computes
+    the last row of an odd-row-count sgemm with another kernel, so the
+    head's fc layers and attention pooling run through ``row_matmul``
+    like the GRU. The shipped model covers the default pooling."""
+    import os
+
+    from deezymatch_ray.data.synth import make_query_candidates
+    from deezymatch_ray.functions.text import normalize_string
+    from deezymatch_ray.model.vocab import load_vocab
+    from deezymatch_ray.pipelines.linkage import DEFAULT_MODEL_DIR
+
+    weights, meta = load_weights(os.path.join(DEFAULT_MODEL_DIR, "model.npz"))
+    tok2index = load_vocab(os.path.join(DEFAULT_MODEL_DIR, "vocab.parquet"))
+    if pooling != meta["pooling_mode"]:
+        weights = init_weights(len(tok2index), 16, 16, num_layers=2,
+                               fc1_out_dim=24, pooling_mode=pooling, seed=3)
+    model = CharGRU(weights, num_layers=2, pooling_mode=pooling)
+    q, c = make_query_candidates(300, 300, seed=7)
+    s1 = [normalize_string(s) for s in q["name"].to_pylist()]
+    s2 = [normalize_string(s) for s in c["name"].to_pylist()]
+
+    def score(lo, hi):
+        (x1, l1, _), (x2, l2, _) = [
+            encode_strings(s[lo:hi], tok2index, tokenize=("char",),
+                           prefix_suffix=("<", ">"), max_seq_len=120)
+            for s in (s1, s2)]
+        return model.match_probability(x1, l1, x2, l2)
+
+    whole = score(0, 300)
+    for size in (1, 3, 7, 33, 101):
+        parts = np.concatenate([score(o, o + size) for o in range(0, 300, size)])
+        np.testing.assert_array_equal(parts, whole, err_msg=f"batches of {size}")
+
+
 def test_self_pair_symmetry_and_embed():
     V = 30
     w = init_weights(V, 8, 6, num_layers=2, fc1_out_dim=10, seed=5)

@@ -131,6 +131,57 @@ def test_calc_predict_does_not_change_distances(model_dir, qc_tables):
     assert a["pred_score"].isna().all()
 
 
+def test_blocked_pred_score_from_bucket_head_equals_oracle(model_dir, qc_tables):
+    """rank_blocked scores its pairs with the siamese head on the legs
+    the embedder emitted, inside the block walk; the oracle runs the
+    full forward over each pair. Both are batch-invariant, so every
+    shared row's pred_score is bit-equal, with the same rows and ranks."""
+    queries, cands = qc_tables
+    cfg, meta = _cfg(model_dir, calc_predict=True)
+    got = _run(rank_blocked, queries, cands, cfg, model_dir, meta)
+    want = _oracle(queries, cands, cfg, model_dir, restrict=True)
+    merged = got.merge(want, on=["query_id", "candidate_id"], suffixes=("_g", "_o"))
+    assert len(merged) == len(got) == len(want) > 0
+    assert got["pred_score"].notna().all()
+    np.testing.assert_array_equal(merged["pred_score_g"], merged["pred_score_o"])
+    assert (merged["rank_g"] == merged["rank_o"]).all()
+
+
+def test_bucket_head_scores_do_not_depend_on_the_slab(model_dir, qc_tables,
+                                                     monkeypatch):
+    """The bucket kernel runs the siamese head over its pairs in slabs
+    of ``_HEAD_SLAB`` (under the conf metric it scores every walked
+    pair); the slab size changes no score."""
+    from deezymatch_ray.model.chargru import load_weights
+    from deezymatch_ray.stages import ranking
+    from deezymatch_ray.stages.scoring import Embedder, _ModelStage
+
+    _, cands = qc_tables
+    cfg, meta = _cfg(model_dir, ranking_metric="conf", selection_threshold=0.0,
+                     num_candidates=10**6)
+    weights, _ = load_weights(os.path.join(model_dir, "model.npz"))
+    vocab = load_vocab(os.path.join(model_dir, "vocab.parquet"))
+    names = pa.array([n for _, n in cands])
+    rows = Embedder(weights, vocab, meta, with_leg=True,
+                    preprocessing=cfg.preprocessing,
+                    tokenization=cfg.tokenization)(pa.table({
+                        "id": pa.array([i for i, _ in cands]), "orig": names,
+                        "norm_text": names}))
+    rows = rows.append_column("block_key", pa.array(["k"] * rows.num_rows))
+
+    def scores():
+        out = ranking.score_block_bucket(rows, cfg=cfg, self_join=True,
+                                         head=_ModelStage(weights, vocab, meta))
+        return out.sort_by([("query_id", "ascending"),
+                            ("candidate_id", "ascending")])["pred_score"].to_numpy()
+
+    whole = scores()
+    monkeypatch.setattr(ranking, "_HEAD_SLAB", 7)
+    assert len(whole) == len(cands) * (len(cands) - 1) // 2
+    assert not np.isnan(whole).any()
+    np.testing.assert_array_equal(scores(), whole)
+
+
 def test_length_diff_postcondition(model_dir, qc_tables):
     """Port of tests/test_pipeline_one_col_input.py:177-199: with
     length_diff=2 every output pair differs by ≤ 2 NFKD chars."""
