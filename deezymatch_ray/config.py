@@ -96,9 +96,9 @@ class BlockingConfig:
     # which doubles the tile count per block — 64 tiles × cap/2 keeps
     # the same ~max_block_size×32 member ceiling before a block drops)
     salt_max_tiles: int = 64
-    # hot-key census runs on the driver below this many keyed rows (the
-    # per-batch partials are already reduced; a distributed groupby's
-    # fixed shuffle overhead dwarfs the work at small scale)
+    # the hot-key census sums its per-batch (block_key, n) partials on
+    # the driver up to this many partial rows, the rows it reads; past
+    # it a Ray aggregate does (its fixed shuffle cost dwarfs small work)
     driver_census_limit: int = 5_000_000
     salt_hot_blocks: bool = True
 

@@ -11,6 +11,9 @@ similarity of exactly 1, and ties go by ``candidate_id``.
   ``Σ (a − b)²`` and a per-pair dot/norm cosine, each row reduced in a
   fixed order (NumPy's own reductions pick their summation order from
   the array's shape).
+- ``pair_shortlist`` is the blocked paths' aligned-pair shortlist: a
+  float32 value per pair, kept within a proven rounding bound of the
+  threshold; only the survivors pay for ``pair_dist``.
 - ``dense_pairs`` serves the Q × C paths: the gram matmul
   ``‖q‖² + ‖c‖² − 2·q·c`` (or ``q·c / ‖q‖‖c‖``) is only a shortlist,
   kept within its own error bound of the threshold or of the k-th
@@ -108,6 +111,38 @@ def pair_dist(x: np.ndarray, y: np.ndarray, ix: np.ndarray, iy: np.ndarray,
             np.concatenate(coss) if cos else None)
 
 
+def pair_shortlist(x: np.ndarray, ix: np.ndarray, iy: np.ndarray,
+                   by: str = "l2", threshold: float = 0.0) -> np.ndarray:
+    """Mask of the aligned pairs (x[ix[i]], x[iy[i]]) whose ``pair_dist``
+    value can pass ``threshold`` (squared L2 ≤ it, or cosine ≥ it with
+    ``by="cos"``), also once stored as float32: their float32 value
+    passes it widened by a proven bound. With u = 2^-24, a float32 sum
+    of d products is within (d + 2)·u of exact relative to Σ|terms|
+    (the value for squared L2, ≤ ‖a‖‖b‖ for a dot) in any order;
+    (2d + 8)·u adds ``pair_dist``'s error and the float32 store, and
+    underflow ≤ d·2^-149. Cosine pairs with a squared norm outside
+    [2^-30, 2^60] and squared-L2 thresholds past 2^100 are kept."""
+    x, d = np.asarray(x, np.float32), np.shape(x)[-1]
+    tol = (2 * d + 8) * 2.0 ** -24
+    keep = np.ones(len(ix), dtype=bool)
+    if by == "l2" and not abs(threshold) < 2.0 ** 100:
+        return keep
+    dots = lambda u, v: np.einsum("ij,ij->i", u, v).astype(np.float64)  # noqa: E731
+    bound = threshold + tol * abs(threshold) + d * 2.0 ** -148
+    for s in range(0, len(ix), CHUNK):
+        a, b = x[ix[s : s + CHUNK]], x[iy[s : s + CHUNK]]
+        if by == "l2":
+            diff = a - b
+            keep[s : s + CHUNK] = ~(dots(diff, diff) > bound)
+            continue
+        n1, n2 = dots(a, a), dots(b, b)
+        with np.errstate(all="ignore"):
+            cos = dots(a, b) / np.sqrt(n1 * n2)
+        sure = (np.minimum(n1, n2) >= 2.0 ** -30) & (np.maximum(n1, n2) <= 2.0 ** 60)
+        keep[s : s + CHUNK] = ~sure | (cos >= threshold - tol - 2.0 ** -40)
+    return keep
+
+
 def dense_pairs(q: np.ndarray, c: np.ndarray, by: str = "l2",
                 threshold: float | None = None, k: int | None = None,
                 allow=None):
@@ -173,9 +208,11 @@ def run_starts(t: pa.Table, cols) -> np.ndarray:
         same = np.ones(t.num_rows - 1, dtype=bool)
         for c in cols:
             a, b = t[c].slice(1), t[c].slice(0, t.num_rows - 1)
-            eq = pc.or_kleene(pc.equal(a, b),
-                              pc.and_(pc.is_null(a), pc.is_null(b)))
-            same &= pc.fill_null(eq, False).to_numpy()
+            eq = pc.equal(a, b)
+            if t[c].null_count:
+                eq = pc.fill_null(pc.or_kleene(
+                    eq, pc.and_(pc.is_null(a), pc.is_null(b))), False)
+            same &= eq.to_numpy()
         new[1:] = ~same
     return new
 

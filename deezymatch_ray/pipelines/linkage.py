@@ -411,6 +411,8 @@ def link_documents(
         prepared = read_stage_output(checkpoint_dir)
     else:
         prepared = embed(jt)
+    # one prepared row per doc, read by the walk and as the node ids
+    prepared = prepared.materialize()
     pairs = blocked_pairs(prepared, cfg, self_join=True, key=_KeyAndCarry(cfg),
                           head=_ModelStage(weights_ref, vocab_ref, meta))
     # D1 pair dedup (SURVEY §2.7): a pair sharing k block keys is emitted
@@ -426,6 +428,6 @@ def link_documents(
 
     return _cluster(
         pairs.map_batches(to_edges, batch_format="pyarrow"),
-        jt.select_columns(["doc_id"]), "doc_id", distributed_cc,
+        prepared.select_columns(["id"]), "id", distributed_cc,
         cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
     )

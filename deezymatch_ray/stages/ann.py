@@ -27,6 +27,7 @@ import ray.data
 
 from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.vectors import dense_pairs, pair_dist, select_topk, to_matrix
+from deezymatch_ray.model.chargru import row_matmul
 from deezymatch_ray.stages.blocking import _group_width, _np_rows, bucket_map
 
 
@@ -158,6 +159,15 @@ def ivf_topk(
     return _merge_topk(candidates.map_batches(local_topk, batch_format="pyarrow"), k)
 
 
+def lsh_signatures(mat: np.ndarray, planes: np.ndarray, n_bits: int) -> np.ndarray:
+    """[N, n_tables] bucket ids: per table, the sign pattern of its
+    ``n_bits`` rows of ``planes``, projected through ``row_matmul`` so
+    a row's signature does not depend on its batch."""
+    bits = row_matmul(mat, planes) > 0
+    return bits.reshape(len(mat), len(planes) // n_bits, n_bits) @ (
+        1 << np.arange(n_bits, dtype=np.int64))
+
+
 def lsh_topk(
     candidates: ray.data.Dataset,
     query_ids: np.ndarray,
@@ -184,15 +194,8 @@ def lsh_topk(
     rng = np.random.default_rng(seed)
     d = query_mat.shape[1]
     planes = rng.standard_normal((n_tables * n_bits, d))
-    weights = (1 << np.arange(n_bits, dtype=np.int64))
-
-    def signatures(mat: np.ndarray) -> np.ndarray:
-        """[N, n_tables] int bucket ids from sign bits."""
-        bits = (mat @ planes.T) > 0  # [N, n_tables*n_bits]
-        return bits.reshape(len(mat), n_tables, n_bits) @ weights
-
     q = query_mat.astype(np.float64)
-    qsig = signatures(q)  # [Q, n_tables]
+    qsig = lsh_signatures(q, planes, n_bits)  # [Q, n_tables]
     # per-table sorted query buckets: collision matching in the workers
     # is then two searchsorted calls + index arithmetic per table — no
     # per-candidate Python loop (round-3 fix: the dict/set walk was
@@ -208,7 +211,7 @@ def lsh_topk(
         B = len(c_ids)
         pair_keys = [np.empty(0, np.int64)]
         if B:
-            csig = signatures(c)  # [B, n_tables]
+            csig = lsh_signatures(c, planes, n_bits)  # [B, n_tables]
             for t in range(n_tables):
                 qs, qo = qss[t], qoo[t]
                 cb = csig[:, t]

@@ -16,16 +16,16 @@ blocks are tile-salted (``ranking.salt_hot_blocks``); a block still
 over its plan's cap is skipped with a warning, never silently.
 
 Every plan that turns key groups into pairs runs through one core,
-``segment_pairs``: rows hash-bucket with ``bucketize`` (so one UDF call
-serves a whole bucket of keys; ``bucket_map``), each bucket sorts by
-(key, id), and ``walk_segments`` walks its key segments, skips the ones
-the plan's oversize predicate marks (warning for each) and lets the
-plan's kernel emit (a, b, values…) row positions, gathered into the
-output with Arrow ``take``. Its users: ranking's ``blocked_pairs``
-(self-join and query × candidate roles; it walks through
-``score_block_bucket``, which adds the per-(block, query) top-k),
-``jaccard_near_dup``, ``minhash_lsh_near_dup``,
-``minhash_lsh_dedup_incremental``, ``simhash_near_dup`` and
+``segment_pairs``: rows hash-bucket with ``bucketize`` (one UDF call
+per bucket of keys; ``bucket_map``) and ``walk_segments`` generates
+the pairs of all a bucket's key segments in one NumPy pass (self pairs
+i < j, or left × right rows by a tag column), skipping the segments
+over the plan's caps with one warning each. The kernel contract is
+chunked: the plan's kernel is one vectorized filter per chunk of
+≤ 2^18 pairs on bucket row positions, and only the pairs it keeps are
+gathered, with Arrow ``take``. Its users: ranking's ``blocked_pairs``
+(``score_block_bucket``: a float32 distance shortlist),
+``jaccard_near_dup``, both MinHash plans, ``simhash_near_dup`` and
 ``embedding_near_dup_lsh``.
 
 All batch fns are Arrow-vectorized; `derive_block_keys` is a flat_map
@@ -47,6 +47,7 @@ import ray.data
 from deezymatch_ray.config import EngineConfig, PreprocessingConfig
 from deezymatch_ray.functions.similarity import soundex_batch
 from deezymatch_ray.functions.text import normalize_array, qgram_keys_table
+from deezymatch_ray.functions.vectors import run_starts
 
 
 class DeriveBlockKeys:
@@ -230,40 +231,6 @@ def _group_width(cfg: EngineConfig) -> int:
     return min(cfg.execution.shuffle_partitions, cpus)
 
 
-def _pair_index_chunks(left: np.ndarray, right: np.ndarray,
-                       target: int = 1 << 18):
-    """Yield (a_idx, b_idx) covering every left×right pair in slabs of
-    ~``target`` pairs, without ever materializing the full O(m²) index
-    arrays (~800 MB at a 10k block; per-chunk memory is O(target))."""
-    slab = max(1, target // max(len(right), 1))
-    for s0 in range(0, len(left) if len(right) else 0, slab):
-        a = np.repeat(left[s0 : s0 + slab], len(right))
-        yield a, np.tile(right, len(a) // len(right))
-
-
-def _self_pairs(seg: dict):
-    """Every i<j row pair of a segment, in bounded chunks; duplicate
-    input ids never self-pair. Rows are id-sorted, so id(a) < id(b)."""
-    ids = seg["id"]
-    rows = np.arange(len(ids))
-    for a, b in _pair_index_chunks(rows, rows):
-        keep = (a < b) & (ids[a] != ids[b])
-        yield a[keep], b[keep]
-
-
-def _cross_pairs(seg: dict, col: str = "side", left=1, right=0):
-    """Every ``left`` × ``right`` row pair of a segment by its ``col``
-    tag, in bounded chunks; pairs inside one side are never formed.
-    The incremental MinHash plan pairs NEW (side 1) with CORPUS (side 0)
-    rows, ranking its queries with its candidates (``_role_pairs``)."""
-    tag = seg[col]
-    return _pair_index_chunks(np.flatnonzero(tag == left),
-                              np.flatnonzero(tag == right))
-
-
-_role_pairs = functools.partial(_cross_pairs, col="role", left="q", right="c")
-
-
 def _warn_skipped_group(kind: str, key_name: str, key, m: int, cap) -> None:
     """Loud-by-default visibility for size-capped segment skips: a
     degenerate key (boilerplate shingle/band, a q-gram in every name)
@@ -288,47 +255,78 @@ def _np_rows(col: pa.ChunkedArray) -> np.ndarray:
     return arr.to_numpy(zero_copy_only=False)
 
 
-def walk_segments(t: pa.Table, key_col: str, kernel,
-                  ends: dict[str, tuple[str, str]],
-                  values: dict[str, pa.DataType],
-                  oversize=None, kind: str = "") -> pa.Table:
-    """The one segment walk: every pair-emitting plan's per-bucket step.
-
-    Sorts the bucket by (key, id), splits it into key segments and hands
-    each segment of ≥ 2 rows to ``kernel(key, seg)`` — ``seg`` maps the
-    payload columns to id-sorted NumPy rows, an int key arrives
-    unsigned. The kernel yields (a, b, *values) chunks, a/b being row
-    positions in the segment. ``oversize(key, seg)`` (optional) returns
-    the cap a segment breaks (e.g. ``"max_block=100"``) or None; such
-    segments are skipped with ``_warn_skipped_group``.
-
-    The output carries, per ``ends`` entry ``col: (a_name, b_name)``,
-    column ``col`` of row a and of row b (gathered with Arrow ``take``,
-    so types survive), then the ``values`` columns, typed."""
-    t = t.sort_by([(key_col, "ascending"), ("id", "ascending")])
-    keys = _np_rows(t[key_col])
-    cols = {c: _np_rows(t[c]) for c in t.column_names if c != key_col}
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sizes = np.diff(np.append(starts, len(keys)))
-    parts = []
-    for s, m in zip(starts[sizes >= 2], sizes[sizes >= 2]):
-        key = int(keys[s]) % (1 << 64) if keys.dtype.kind == "i" else keys[s]
-        seg = {c: v[s : s + m] for c, v in cols.items()}
-        cap = oversize(key, seg) if oversize else None
-        if cap:
-            _warn_skipped_group(kind, key_col, key, int(m), cap)
-            continue
-        parts += [(s + a, s + b, *v) for a, b, *v in kernel(key, seg)]
-    if parts:
-        a, b, *vals = (np.concatenate(x) for x in zip(*parts))
-    else:
-        a = b = np.empty(0, dtype=np.int64)
-        vals = [np.empty(0)] * len(values)
-    out = {names[0]: t[c].take(a) for c, names in ends.items()}
-    out.update({names[1]: t[c].take(b) for c, names in ends.items()})
-    out.update({name: pa.array(v, type=typ)
-                for (name, typ), v in zip(values.items(), vals)})
-    return pa.table(out)
+def walk_segments(t: pa.Table, key_col: str, kernel, oversize=None,
+                  kind: str = "", tag: tuple | None = None,
+                  self_join: bool = True, chunk: int = 1 << 18):
+    """The one segment walk, every pair-emitting plan's per-bucket step:
+    sorts the bucket's (key, id) indices (no other column moves) and
+    generates all its key segments' pairs in one NumPy pass — ``left`` ×
+    ``right`` rows of ``tag = (col, left, right)`` in a segment holding
+    ``right`` rows, else (with ``self_join``) rows i < j with distinct
+    ids; with ``self_join`` a pair comes lower (key, id) row first.
+    ``oversize(seg)`` gets the segments of ≥ 2 rows as arrays (``key``,
+    unsigned if int; ``rows``; tag counts ``left``/``right``; ``pairs``)
+    and returns per segment the cap it breaks or "" (those are skipped
+    with ``_warn_skipped_group``). ``kernel(cols, a, b, key)`` filters
+    ≤ ``chunk`` pairs per call (bigger segments split by row slabs):
+    bucket row positions a/b, their segment keys, ``cols(name)`` a
+    column as NumPy rows. It returns (a, b, *values) for the pairs it
+    keeps; the walk concatenates them, or returns () when no segment
+    is left to pair."""
+    n = t.num_rows
+    perm = pc.sort_indices(t, sort_keys=[(key_col, "ascending"),
+                                         ("id", "ascending")]).to_numpy()
+    st = t.select([key_col, "id"]).take(perm)
+    key_new = run_starts(st, [key_col])
+    starts = np.flatnonzero(key_new)
+    ends = np.append(starts[1:], n)
+    rows = ends - starts
+    seg = np.repeat(np.arange(len(starts)), rows)  # per sorted row
+    keys = _np_rows(st[key_col].take(pa.array(starts, type=pa.int64())))
+    if keys.dtype.kind == "i":
+        keys = keys.astype(np.int64).view(np.uint64)
+    left, right = ((pc.fill_null(pc.equal(t[tag[0]], v), False).to_numpy()[perm] for v in tag[1:])
+                   if tag else (np.ones(n, dtype=bool), np.zeros(n, dtype=bool)))
+    n_left, n_right = (np.add.reduceat(x.astype(np.int64), starts) if n else rows
+                       for x in (left, right))
+    cross = n_right > 0
+    pairs = np.where(cross, n_left * n_right, rows * (rows - 1) // 2 * self_join)
+    live = rows >= 2
+    if oversize is not None and live.any():
+        idx = np.flatnonzero(live)
+        caps = np.broadcast_to(oversize({
+            "key": keys[idx], "rows": rows[idx], "left": n_left[idx],
+            "right": n_right[idx], "pairs": pairs[idx]}), idx.shape)
+        bad = np.flatnonzero(caps != "")
+        for j in bad:
+            k = keys[idx[j]]
+            _warn_skipped_group(kind, key_col, int(k) if keys.dtype.kind == "u"
+                                else k, int(rows[idx[j]]), str(caps[j]))
+        live[idx[bad]] = False
+    if not live.any():
+        return ()
+    # per sorted row: its pair count, and where its partners start in
+    # ``order`` (the sorted rows, each cross segment's right rows moved
+    # to its front); a self row pairs with the rows after its id run
+    id_new = key_new | run_starts(st, ["id"])
+    off = np.append(np.flatnonzero(id_new)[1:], n)[np.cumsum(id_new) - 1]
+    cnt = np.where(live[seg] & ~cross[seg] & self_join, ends[seg] - off, 0)
+    x = live[seg] & cross[seg] & left
+    cnt[x], off[x] = n_right[seg[x]], starts[seg[x]]
+    order = np.argsort(seg * 2 + ~right, kind="stable") if tag else np.arange(n)
+    cum = np.cumsum(cnt)
+    base = off - (cum - cnt)  # partner of pair g of row r: order[base[r] + g]
+    cols = functools.cache(lambda name: _np_rows(t[name]))
+    parts, r0, done = [], 0, 0
+    while r0 < n:
+        r1 = min(n, max(r0 + 1, int(np.searchsorted(cum, done + chunk, "right"))))
+        a = np.repeat(np.arange(r0, r1), cnt[r0:r1])
+        b = order[np.repeat(base[r0:r1], cnt[r0:r1]) + np.arange(done, done + len(a))]
+        if self_join:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        parts.append(kernel(cols, perm[a], perm[b], keys[seg[a]]))
+        r0, done = r1, done + len(a)
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
@@ -347,10 +345,21 @@ def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
 
 
 def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
-                  width: int | None = None, **walk) -> ray.data.Dataset:
+                  width: int | None = None, *, ends: dict[str, tuple[str, str]],
+                  values: dict[str, pa.DataType], **walk) -> ray.data.Dataset:
     """Pairs from exploded (key, id, payload…) rows: one pyarrow
     ``walk_segments(**walk)`` call per hash bucket of ``walk["key_col"]``
-    (``bucket_map``)."""
-    return bucket_map(keyed, [walk["key_col"]],
-                      functools.partial(walk_segments, **walk),
-                      num_buckets, width)
+    (``bucket_map``). Per ``ends`` entry ``col: (a_name, b_name)`` the
+    output carries column ``col`` of row a and of row b (Arrow ``take``,
+    so types survive), then the kernel's ``values`` columns, typed."""
+
+    def pairs(t: pa.Table) -> pa.Table:
+        a, b, *vals = walk_segments(t, **walk) or ([], [], *([] for _ in values))
+        a, b = pa.array(a, type=pa.int64()), pa.array(b, type=pa.int64())
+        out = {names[0]: t[c].take(a) for c, names in ends.items()}
+        out.update({names[1]: t[c].take(b) for c, names in ends.items()})
+        out.update({name: pa.array(v, type=typ)
+                    for (name, typ), v in zip(values.items(), vals)})
+        return pa.table(out)
+
+    return bucket_map(keyed, [walk["key_col"]], pairs, num_buckets, width)

@@ -24,10 +24,9 @@ the engine's own scale surface):
 - Every pair-emitting plan here (Jaccard, both MinHash plans, SimHash
   near-dup and embedding LSH) emits through the segment core
   ``blocking.segment_pairs``, which ranking's ``blocked_pairs`` shares:
-  exploded key rows ``bucketize`` on the key, and one Arrow UDF call
-  per bucket walks its key segments, skips (with a warning) the ones
-  past the plan's cap — embedding LSH sets none — and runs the plan's
-  vectorized verify kernel.
+  one Arrow UDF call per key bucket generates the key segments' pairs,
+  skips (with a warning) the segments past the plan's cap, and runs
+  the plan's vectorized verify kernel on bounded chunks of them.
 - ``embedding_near_dup``: exact cosine over an embedding column against
   a broadcast matrix (valid while one side fits in the object store;
   the blocked/IVF variant is `ann.py`).
@@ -42,6 +41,7 @@ the engine's own scale surface):
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import pandas as pd
@@ -58,11 +58,10 @@ from deezymatch_ray.functions.dedup import (
     word_shingles,
     words,
 )
-from deezymatch_ray.functions.vectors import dense_pairs, to_matrix
+from deezymatch_ray.functions.vectors import dense_pairs, pair_dist, pair_shortlist, to_matrix
+from deezymatch_ray.stages.ann import lsh_signatures
 from deezymatch_ray.stages.blocking import (
-    _cross_pairs,
     _np_rows,
-    _self_pairs,
     _warn_skipped_group,  # noqa: F401 (the banded plans' skip warning)
     bucketize,
     collect_side,
@@ -297,7 +296,7 @@ def jaccard_near_dup(
     # every pair of a block, ids sorted so doc_a < doc_b ---
     pairs = segment_pairs(
         keyed, num_partitions, key_col="sh",
-        kernel=lambda key, seg: _self_pairs(seg),
+        kernel=lambda cols, a, b, key: (a, b),
         ends={"id": ("doc_a", "doc_b")}, values={},
     )
 
@@ -448,40 +447,39 @@ def _band_group_stats(keyed: ray.data.Dataset, max_block: int,
 
 def _banded(keyed: ray.data.Dataset, key_col: str, verify, names,
             value: tuple[str, pa.DataType], max_block: int,
-            kind: str) -> ray.data.Dataset:
+            kind: str, tag: tuple | None = None) -> ray.data.Dataset:
     """A banded plan's pairs through the segment core: band/segment
     groups of more than ``max_block`` rows are skipped with a warning,
-    and ``verify(key, seg)`` yields the (a, b, value) row positions."""
+    the chunk kernel ``verify`` keeps (a, b, value) rows, and ``tag``
+    pairs left × right rows only (``walk_segments``)."""
 
-    def oversize(key, seg):
-        return f"max_block={max_block}" if len(seg["id"]) > max_block else None
+    def oversize(seg):
+        return np.where(seg["rows"] > max_block, f"max_block={max_block}", "")
 
     return segment_pairs(
         keyed, DEFAULT_CONFIG.execution.shuffle_partitions, key_col=key_col,
         kernel=verify, oversize=oversize, kind=kind, ends={"id": names},
-        values=dict([value]),
+        values=dict([value]), tag=tag, self_join=tag is None,
     )
 
 
-def _minhash_verify(rows_per_band: int, n_bands: int, threshold: float,
-                    pairs=_self_pairs):
-    """Segment kernel of both MinHash plans over the segment
-    row pairs ``pairs(seg)`` yields: signature equality, band ownership
-    (the first fully-equal band owns the pair, so each pair is emitted
-    by exactly one band group) and the estimate threshold evaluate as
-    [pairs, k] matrix ops per chunk."""
+def _minhash_verify(rows_per_band: int, n_bands: int, threshold: float):
+    """Chunk kernel of both MinHash plans: signature equality, band
+    ownership (the first fully-equal band owns the pair, so each pair is
+    emitted by exactly one band group) and the estimate threshold
+    evaluate as [pairs, k] matrix ops."""
 
-    def verify(key: int, seg: dict):
-        sigs = seg["sig"].view(np.uint64)
+    def verify(cols, a, b, key):
+        sigs = cols("sig").view(np.uint64)
         nb = sigs.shape[1] // rows_per_band
-        for a, b in pairs(seg):
-            eq = sigs[a] == sigs[b]  # [c, k]
-            est = eq.mean(axis=1)
-            full = eq[:, : nb * rows_per_band].reshape(
-                len(a), nb, rows_per_band).all(axis=2)
-            has = full.any(axis=1)  # false only on a band-digest collision
-            keep = has & (full.argmax(axis=1) == key % n_bands) & (est >= threshold)
-            yield a[keep], b[keep], [round(float(v), 6) for v in est[keep]]
+        eq = sigs[a] == sigs[b]  # [c, k]
+        est = eq.mean(axis=1)
+        full = eq[:, : nb * rows_per_band].reshape(
+            len(a), nb, rows_per_band).all(axis=2)
+        has = full.any(axis=1)  # false only on a band-digest collision
+        own = full.argmax(axis=1) == (key % n_bands).astype(np.int64)
+        keep = has & own & (est >= threshold)
+        return a[keep], b[keep], [round(float(v), 6) for v in est[keep]]
 
     return verify
 
@@ -663,9 +661,9 @@ def minhash_lsh_dedup_incremental(
         _band_group_stats(keyed, max_block, stats_out)
     return _banded(
         keyed, "band_key",
-        _minhash_verify(k // n_bands, n_bands, threshold, _cross_pairs),
+        _minhash_verify(k // n_bands, n_bands, threshold),
         ("new_id", "corpus_id"), ("est_jaccard", pa.float64()), max_block,
-        "minhash_dedup_incremental",
+        "minhash_dedup_incremental", tag=("side", 1, 0),
     )
 
 
@@ -732,17 +730,16 @@ def simhash_near_dup(
             "sig": pa.array(np.repeat(sigs.view(np.int64), n_seg)),
         })
 
-    def verify(key: int, seg: dict):
-        sigs = seg["sig"].view(np.uint64)
-        for a, b in _self_pairs(seg):
-            hd = hamming64(sigs[a], sigs[b])
-            keep = hd <= max_hamming
-            a, b, hd = a[keep], b[keep], hd[keep]
-            # min-segment emission: the first matching segment owns the
-            # pair (≥1 segment matches by pigeonhole: hd ≤ r, r+1 segments)
-            diff = ((sigs[a] ^ sigs[b])[:, None] >> shifts) & seg_mask  # [p, n_seg]
-            own = (diff == 0).argmax(axis=1) == key % n_seg
-            yield a[own], b[own], hd[own]
+    def verify(cols, a, b, key):
+        sigs = cols("sig").view(np.uint64)
+        hd = hamming64(sigs[a], sigs[b])
+        keep = hd <= max_hamming
+        a, b, hd, key = a[keep], b[keep], hd[keep], key[keep]
+        # min-segment emission: the first matching segment owns the
+        # pair (≥1 segment matches by pigeonhole: hd ≤ r, r+1 segments)
+        diff = ((sigs[a] ^ sigs[b])[:, None] >> shifts) & seg_mask  # [p, n_seg]
+        own = (diff == 0).argmax(axis=1) == (key % n_seg).astype(np.int64)
+        return a[own], b[own], hd[own]
 
     keyed = ds.map_batches(explode, batch_format="pyarrow")
     if stats_out is not None:
@@ -770,13 +767,11 @@ def embedding_near_dup_lsh(
     generation + EXACT cosine verification — same output schema, no
     broadcast of the full matrix.
 
-    Each vector hashes to ``n_tables`` sign-pattern buckets. Every
-    bucket verifies ALL of its pairs — oversized buckets are processed
-    in bounded-memory row tiles (chunked gemm slabs), never skipped, so
-    pair loss is impossible inside a shared bucket (round-3 fix: the
-    old plan silently dropped every pair in buckets past ``max_block``,
-    which at default n_bits=5 was *most* buckets beyond ~640k vectors).
-    A pair sharing several buckets is emitted by each and deduplicated
+    Each vector hashes to ``n_tables`` sign-pattern buckets
+    (``ann.lsh_signatures``). Every bucket verifies ALL of its pairs in
+    bounded chunks (``pair_shortlist``, then exact ``pair_dist``);
+    oversized buckets warn but are never skipped, so pair loss is
+    impossible inside a shared bucket. A pair sharing several buckets is emitted by each and deduplicated
     by a global ``groupby(pair).min`` — a small shuffle over surviving
     pairs only (the verified sim is identical in every copy).
 
@@ -821,8 +816,6 @@ def embedding_near_dup_lsh(
             # a silent cap would quietly void the documented recall bound
             n_tables = min(n_tables_target, 512)
             if n_tables < n_tables_target:
-                import warnings
-
                 achieved = 1 - (1 - p ** n_bits) ** n_tables
                 warnings.warn(
                     f"embedding_near_dup_lsh: auto n_tables target "
@@ -851,7 +844,6 @@ def embedding_near_dup_lsh(
     d = dim_of()
     planes = rng.standard_normal((n_tables * n_bits, d))
     planes_ref = ray.put(planes)
-    weights = 1 << np.arange(n_bits, dtype=np.int64)
 
     def explode(batch: pa.Table) -> pa.Table:
         pl = ray.get(planes_ref)
@@ -866,8 +858,7 @@ def embedding_near_dup_lsh(
                 ),
             })
         mat = to_matrix(batch[vec_col])
-        bits = (mat @ pl.T) > 0
-        sig = bits.reshape(n, n_tables, n_bits) @ weights  # [N, T]
+        sig = lsh_signatures(mat, pl, n_bits)  # [N, T]
         # int64 key fold pattern*n_tables + t (pattern < 2^n_bits, so no
         # overflow for any realistic n_bits) — vectorized, and an int64
         # shuffles fewer bytes than the old "t:int" f-string per row
@@ -901,37 +892,27 @@ def embedding_near_dup_lsh(
             expr=f"cnt > {max_block}"
         ).count()
 
-    def verify(key: int, seg: dict):
-        m = len(seg["id"])
-        if m > max_block:
-            # never skipped (pairs would be lost) but no longer
-            # cheap either: a degenerate corpus (constant vectors)
-            # can put all n rows in one bucket per table, costing
-            # O(m²) exact cosine — be loud about it
-            import warnings
+    def loud(seg):  # big buckets are verified in full, never skipped
+        for key, m in zip(seg["key"], seg["rows"]):
+            if m > max_block:
+                warnings.warn(f"embedding_near_dup_lsh: bucket {int(key)!r} holds {m} "
+                              f"rows > max_block={max_block}; verifying IN FULL at "
+                              "O(m²) cosine cost. Raise n_bits/max_block or pre-dedup "
+                              "degenerate vectors if this recurs.", stacklevel=2)
+        return ""
 
-            warnings.warn(
-                f"embedding_near_dup_lsh: bucket {key!r} holds {m} "
-                f"rows > max_block={max_block}; verifying IN FULL "
-                "(memory-bounded tiles, no pair loss) at O(m²) "
-                "cosine cost. Raise n_bits/max_block or pre-dedup "
-                "degenerate vectors if this recurs.",
-                stacklevel=2,
-            )
-        ids = seg["id"]
-        # dense_pairs works in memory-bounded gram blocks, so a skewed
-        # bucket costs O(m²) time but never an O(m²) matrix or a skip
-        a, b, _, sims = dense_pairs(
-            seg["vec"], seg["vec"], by="cos", threshold=threshold,
-            allow=lambda r, c: (c[None, :] > r[:, None])
-            & (ids[c][None, :] != ids[r][:, None]))
+    def verify(cols, a, b, key):
+        vec = cols("vec")
+        keep = pair_shortlist(vec, a, b, "cos", threshold)
+        a, b = a[keep], b[keep]
+        _, sims = pair_dist(vec, vec, a, b, l2=False)
         hit = sims >= threshold
         # Python round (correctly rounded) — np.round can land one
         # ulp off DuckDB's round and break value-hash compares
-        yield a[hit], b[hit], [round(float(v), round_to) for v in sims[hit]]
+        return a[hit], b[hit], [round(float(v), round_to) for v in sims[hit]]
 
     per_bucket = segment_pairs(
-        keyed, num_partitions, key_col="bkey", kernel=verify,
+        keyed, num_partitions, key_col="bkey", kernel=verify, oversize=loud,
         ends={"id": ("vec_a", "vec_b")}, values={"cos_sim": pa.float64()},
     )
     # global pair dedup: sims are identical across a pair's shared

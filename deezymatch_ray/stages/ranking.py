@@ -24,11 +24,14 @@ Two physical plans, same output schema:
 - ``rank_blocked``: queries ∪ candidates → block keys → per-block exact
   scoring → global per-query merge. Scales to any candidate count; the
   result equals the reference restricted to pairs sharing a blocking key
-  (the F1-gate population).
+  (the F1-gate population). As in the reference (candidateRanker.py:
+  390-441), a float32 shortlist (``pair_shortlist``) comes first; exact
+  distances, top-k, gathers and the head run on its survivors only.
 - ``rank_global``: broadcast the full candidate matrix via ``ray.put``
   once, stream queries through ``map_batches`` computing exact global
   top-k (``dense_pairs``: a chunked gram shortlist, recomputed per
-  pair). It returns the reference's global search result for the
+  pair; predictions from the head on the broadcast pooled legs). It
+  returns the reference's global search result for the
   ``faiss`` metric, with ties at equal distance (duplicate names)
   going to the lowest candidate ids; usable while candidates fit in
   the object store.
@@ -71,6 +74,7 @@ from deezymatch_ray.config import EngineConfig
 from deezymatch_ray.functions.vectors import (
     dense_pairs,
     pair_dist,
+    pair_shortlist,
     run_starts,
     select_topk,
     to_matrix,
@@ -78,13 +82,11 @@ from deezymatch_ray.functions.vectors import (
 from deezymatch_ray.stages.blocking import (
     DeriveBlockKeys,
     _group_width,
-    _role_pairs,
-    _self_pairs,
     bucket_map,
     collect_side,
     walk_segments,
 )
-from deezymatch_ray.stages.scoring import Embedder, PairScorer
+from deezymatch_ray.stages.scoring import Embedder, _ModelStage
 
 RANK_SCHEMA_COLS = [
     "query_id", "query", "candidate_id", "candidate",
@@ -137,98 +139,76 @@ _HEAD_SLAB = 1 << 16  # pairs per siamese-head call in a bucket
 _TILE = "\x1ftile:"  # salted tile keys: "<block_key>\x1ftile:a-b"
 
 
-def _block_walk(cfg: EngineConfig, self_join: bool) -> dict:
-    """``walk_segments`` arguments of ranking's blocked pairs: the
-    oversize predicate and the pair kernel. Emits the within-block
-    pairs with valid embeddings (within ``length_diff``) — every
-    unordered pair of a self-join block (canonical query_id <
-    candidate_id), the q × c rows of a salted cross-tile or of a
-    ``self_join=False`` block — with their keyed rows ``__qrow`` (which
-    names the pair's (block, query)) and ``__crow``."""
-    caps, r = cfg.blocking, cfg.ranking
-
-    def oversize(key, seg):
-        # salted tiles are EXEMPT: salt_hot_blocks already bounded them
-        # (groups sized with 2× headroom), and skipping one would lose
-        # every pair the tile owns
-        if _TILE in key:
-            return None
-        if self_join:
-            n = len(seg["id"])
-            big, pairs = n, n * (n - 1) // 2
-        else:
-            nq = int((seg["role"] == "q").sum())
-            nc = len(seg["role"]) - nq
-            big, pairs = max(nq, nc), nq * nc
-        if pairs and big > caps.max_block_size:
-            return f"max_block_size={caps.max_block_size}"
-        if pairs > caps.max_pairs_per_block:
-            return f"max_pairs_per_block={caps.max_pairs_per_block}"
-        return None
-
-    def kernel(key, seg):
-        cross = not self_join or ("role" in seg and (seg["role"] == "c").any())
-        chunks = list((_role_pairs if cross else _self_pairs)(seg))
-        if not chunks:
-            return
-        a, b = (np.concatenate(x) for x in zip(*chunks))
-        keep = seg["emb_valid"][a] & seg["emb_valid"][b]
-        if r.length_diff is not None:
-            # NaN for a null text: it never pairs
-            lens = seg["__len"]
-            keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
-        a, b = a[keep], b[keep]
-        if self_join:
-            # canonical orientation (query_id < candidate_id; rows are
-            # id-sorted), so a pair surfacing in several blocks meets
-            # itself in dedup_pairs
-            a, b = np.minimum(a, b), np.maximum(a, b)
-        yield a, b
-
-    return dict(
-        key_col="block_key", kernel=kernel, oversize=oversize,
-        kind="blocked_pairs", values={},
-        ends={"id": ("query_id", "candidate_id"), "orig": ("query", "candidate"),
-              "__row": ("__qrow", "__crow")},
-    )
-
-
 def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
                        self_join: bool = False, head=None) -> pa.Table:
-    """Score every block of one hash bucket (``blocked_pairs``' per-bucket
-    step, callable in-process): one ``walk_segments`` pass, one
-    ``pair_dist`` call over the bucket's pairs. Blocks over
+    """Score every block of one hash bucket (``blocked_pairs``' step,
+    callable in-process): one ``walk_segments`` pass over the pairs with
+    valid embeddings (within ``length_diff``) — the unordered pairs of a
+    self-join block (query_id < candidate_id), the q × c rows of a
+    salted tile or of a ``self_join=False`` block; blocks over
     ``max_block_size`` members or ``max_pairs_per_block`` pairs are
-    skipped with a warning, except salted tiles. Under the faiss and
-    cosine metrics each (block, query) keeps only its own selection:
-    a query's global selection is a subset of the union of these.
-    ``pred_score``: ``head.head`` (a ``scoring._ModelStage``) on the
-    kept pairs' legs, NaN without a head."""
-    r = cfg.ranking
+    skipped with a warning, salted tiles never. Under the faiss and
+    cosine metrics the walk drops the pairs ``pair_shortlist`` proves
+    beyond the threshold and each (block, query) keeps its own
+    selection; ``pair_dist``, the gathers and ``_pred_scores`` run on
+    the kept pairs alone."""
+    r, caps = cfg.ranking, cfg.blocking
     want_cos = r.calc_cosine or r.ranking_metric == "cosine"
-    t = t.append_column("__row", pa.array(np.arange(t.num_rows)))
-    if r.length_diff is not None:
-        t = t.append_column("__len", pc.fill_null(
-            pc.cast(pc.utf8_length(t["norm_text"]), pa.float64()), np.nan))
-    pairs = walk_segments(t, **_block_walk(cfg, self_join))
     emb = to_matrix(t["emb"], np.float32)
-    fd, cos = pair_dist(emb, emb, pairs["__qrow"].to_numpy(),
-                        pairs["__crow"].to_numpy(), cos=want_cos)
+    valid = t["emb_valid"].to_numpy()
+    lens = None if r.length_diff is None else pc.fill_null(  # NaN: never pairs
+        pc.cast(pc.utf8_length(t["norm_text"]), pa.float64()), np.nan).to_numpy()
+    # no shortlist under the conf metric: pred_score decides there
+    short = {"faiss": ("l2", r.selection_threshold),
+             "cosine": ("cos", 1.0 - r.selection_threshold)}.get(r.ranking_metric)
+
+    def kernel(cols, a, b, key):
+        keep = valid[a] & valid[b]
+        if lens is not None:
+            keep &= np.abs(lens[a] - lens[b]) <= r.length_diff
+        a, b = a[keep], b[keep]
+        if short is not None:
+            keep = pair_shortlist(emb, a, b, *short)
+            a, b = a[keep], b[keep]
+        return a, b
+
+    def oversize(seg):
+        big = np.where(seg["right"] > 0, np.maximum(seg["left"], seg["right"]), seg["rows"])
+        cap = np.where(seg["pairs"] > caps.max_pairs_per_block,
+                       f"max_pairs_per_block={caps.max_pairs_per_block}", "")
+        cap = np.where((seg["pairs"] > 0) & (big > caps.max_block_size),
+                       f"max_block_size={caps.max_block_size}", cap)
+        return np.where([_TILE in k for k in seg["key"]], "", cap)
+
+    tag = ("role", "q", "c") if "role" in t.column_names else None
+    q, c = walk_segments(t, "block_key", kernel, oversize, "blocked_pairs",
+                         tag, self_join) or (np.empty(0, dtype=np.int64),) * 2
+    fd, cos = pair_dist(emb, emb, q, c, cos=want_cos)
     cd = 1.0 - cos if want_cos else np.full(len(fd), np.nan)
-    pairs = pairs.append_column("faiss_dist", pa.array(fd.astype(np.float32)))
-    pairs = pairs.append_column("cosine_dist", pa.array(cd.astype(np.float32)))
+    pairs = pa.table({"__qrow": q, "__crow": c, "candidate_id": t["id"].take(c),
+                      "faiss_dist": fd.astype(np.float32), "cosine_dist": cd.astype(np.float32)})
     if r.ranking_metric != "conf":
+        if r.dedup_on == "candidate_string":
+            pairs = pairs.append_column("candidate", t["orig"].take(c))
         pairs = _select(pairs, cfg, ("__qrow",))
-    pred = np.full(pairs.num_rows, np.nan, dtype=np.float32)
-    if head is not None:
-        leg = to_matrix(t["leg"], np.float32)
-        q, c = pairs["__qrow"].to_numpy(), pairs["__crow"].to_numpy()
-        # slabs bound the gathered legs (the conf metric scores every
-        # walked pair); a pair's score depends on its two legs alone
-        for s in (slice(i, i + _HEAD_SLAB) for i in range(0, len(q), _HEAD_SLAB)):
-            pred[s] = head.head(leg[q[s]], leg[c[s]])
-    pairs = pairs.append_column("pred_score", pa.array(pred))
-    return pairs.select([n for n in RANK_SCHEMA_COLS[:-1] if n in pairs.column_names])
+    q, c = pairs["__qrow"].to_numpy(), pairs["__crow"].to_numpy()
+    leg = None if head is None else to_matrix(t["leg"], np.float32)
+    pred = _pred_scores(head, leg, leg, q, c)
+    return pa.table({"query_id": t["id"].take(q), "query": t["orig"].take(q),
+                     "candidate_id": pairs["candidate_id"], "candidate": t["orig"].take(c),
+                     "faiss_dist": pairs["faiss_dist"], "cosine_dist": pairs["cosine_dist"],
+                     "pred_score": pred})
+
+
+def _pred_scores(head, q_leg, c_leg, qi, ci) -> np.ndarray:
+    """``pred_score`` of the pairs (qi, ci): ``head.head`` on their
+    pooled legs in slabs of ``_HEAD_SLAB`` pairs (bounding the gathered
+    legs), NaN without a head; a score depends on its two legs alone."""
+    pred = np.full(len(qi), np.nan, dtype=np.float32)
+    for i in range(0, len(qi) if head is not None else 0, _HEAD_SLAB):
+        s = slice(i, i + _HEAD_SLAB)
+        pred[s] = head.head(q_leg[qi[s]], c_leg[ci[s]])
+    return pred
 
 
 def _select(t: pa.Table, cfg: EngineConfig, group) -> pa.Table:
@@ -280,8 +260,6 @@ def rank_blocked(
     Under the 'conf' metric or calc_predict the sides carry their pooled
     legs and the bucket kernel scores pairs with the siamese head (the
     model runs only when asked, candidateRanker.py:431-441)."""
-    from deezymatch_ray.stages.scoring import _ModelStage
-
     want_pred = cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict
     q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id,
                      query_text, with_leg=want_pred)
@@ -320,15 +298,14 @@ def salt_hot_blocks(
     carries no signal at that frequency) with one driver-side warning
     giving the number of dropped keys and their keyed rows.
 
-    The hot-key census runs on slim keys: the keyed rows' ``block_key``
-    column (``census``, by default projected from ``keyed``),
-    materialized once so its row count is free. Each batch is reduced
-    to one (block_key, n) row per distinct key by an Arrow group_by. Up
-    to ``driver_census_limit`` keyed rows, the driver reads those
-    partials as Arrow batches and sums them with one more group_by (a
-    Ray shuffle's fixed cost would dwarf the work); past it a Ray
-    ``Sum`` aggregate sums them. Only the hot keys become Python
-    objects, and the re-emit is an Arrow UDF streaming over ``keyed``.
+    The hot-key census is one Ray execution over slim keys (``census``,
+    by default ``keyed``'s ``block_key`` column): an Arrow group_by
+    reduces each batch to (block_key, n) partials, materialized so
+    their row count is free. Up to ``driver_census_limit`` partial rows
+    the driver sums them with one more group_by (a Ray shuffle's fixed
+    cost would dwarf the work); past it a Ray ``Sum`` aggregate does.
+    Only the hot keys become Python objects, and the re-emit is an
+    Arrow UDF streaming over ``keyed``.
     """
     import math
     import warnings
@@ -342,10 +319,10 @@ def salt_hot_blocks(
         t = batch.group_by("block_key").aggregate([("block_key", "count")])
         return pa.table({"block_key": t["block_key"], "n": t["block_key_count"]})
 
-    census = (keyed if census is None else census).select_columns(
-        ["block_key"]).materialize()
-    partials = census.map_batches(partial_counts, batch_format="pyarrow")
-    if census.count() <= cfg.blocking.driver_census_limit:
+    partials = (keyed if census is None else census).select_columns(
+        ["block_key"]).map_batches(partial_counts,
+                                   batch_format="pyarrow").materialize()
+    if partials.count() <= cfg.blocking.driver_census_limit:
         parts = list(partials.iter_batches(batch_format="pyarrow",
                                            batch_size=None))
         if not parts:
@@ -425,20 +402,15 @@ def blocked_pairs(
     rows: ray.data.Dataset, cfg: EngineConfig, self_join: bool = False,
     key=None, head=None,
 ) -> ray.data.Dataset:
-    """Keyed (block_key + payload) rows → scored within-block pairs:
-    one ``score_block_bucket`` call (the segment walk, the
-    per-(block, query) selection and, with ``head``, the siamese head
-    on the pairs' legs) per hash bucket of block keys
-    (``blocking.bucket_map``), behind a sort shuffle of
-    ``_group_width`` blocks. With ``key`` (a ``_KeyAndCarry``), ``rows``
-    are prepared rows that ``key`` explodes on their way into the
-    shuffle. Self-join inputs get hot blocks tile-salted first
-    (salt_hot_blocks), after ``rows`` are materialized: the census and
-    the re-emit would otherwise each RE-EXECUTE the lazy upstream, the
-    embedding stage included. With ``key`` that pins one prepared row
-    per doc and the census counts the slim ``key.block_keys``; the
-    keyed rows (about a dozen per doc, each with its vectors) stream
-    once into the shuffle, never held in the object store."""
+    """Keyed (block_key + payload) rows → scored within-block pairs: one
+    ``score_block_bucket`` call per hash bucket of block keys
+    (``blocking.bucket_map``) behind a sort shuffle of ``_group_width``
+    blocks. With ``key`` (a ``_KeyAndCarry``), ``rows`` are prepared
+    rows that ``key`` explodes on their way into the shuffle (never held
+    in the object store), and the hot-key census counts the slim
+    ``key.block_keys``. Self-join inputs are materialized, then hot
+    blocks tile-salted (``salt_hot_blocks``): the census and the
+    re-emit would otherwise each re-execute the lazy upstream."""
     salt = self_join and cfg.blocking.salt_hot_blocks
     if salt:
         rows = rows.materialize()
@@ -479,13 +451,10 @@ class _KeyAndCarry:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         keys = self.derive(batch)  # (id, block_key) distinct
-        # gather keys back to this batch's rows with an Arrow kernel (the
-        # round-1 Python dict + per-row comprehension was the last row
-        # loop in the hot blocking path). index_in resolves a duplicated
-        # id to its FIRST row in the batch — prepare_side emits one row
-        # per input row, so duplicate ids (duplicate input rows) carry
-        # identical payloads here and first-occurrence is exact; an input
-        # with the SAME id on DIFFERENT payloads is out of contract.
+        # gather keys back to this batch's rows: index_in resolves a
+        # duplicated id to its FIRST row, exact because duplicate input
+        # rows carry identical payloads (the SAME id on DIFFERENT
+        # payloads is out of contract)
         take = pc.index_in(keys["id"], value_set=batch["id"].combine_chunks())
         carried = batch.take(take)
         return carried.append_column("block_key", keys["block_key"])
@@ -508,14 +477,14 @@ def rank_global(
 
     Refuses LOUDLY past ``broadcast_limit`` candidate rows — the
     driver-side concat + broadcast would OOM long before producing
-    wrong results; ``rank_blocked`` is the no-broadcast scale path.
-
-    NOTE (behavior since round 3): the default limit is 2,000,000 rows.
-    Callers whose candidate sets exceed it but fit in the object store
-    can raise ``broadcast_limit`` explicitly — the guard is a default,
-    not a hard cap (same contract as ``embedding_near_dup`` /
-    ``embedding_near_dup_incremental``)."""
-    c = prepare_side(candidates, cfg, weights_ref, vocab_ref, meta, cand_id, cand_text)
+    wrong results; ``rank_blocked`` is the no-broadcast scale path. The
+    limit is a default, not a hard cap: candidates that fit in the
+    object store may raise it (as for ``embedding_near_dup``)."""
+    # the model runs only when asked (candidateRanker.py:431-441): then
+    # both sides carry their pooled legs and the head scores the pairs
+    want_pred = cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict
+    c = prepare_side(candidates, cfg, weights_ref, vocab_ref, meta, cand_id,
+                     cand_text, with_leg=want_pred)
     # global mode materializes the candidate payload ONCE on the driver and
     # broadcasts it (ray.put) — valid while candidates fit in the object
     # store; beyond that use rank_blocked
@@ -530,33 +499,29 @@ def rank_global(
         cand["id"].combine_chunks(),
         cand["orig"].combine_chunks(),
         pc.utf8_length(cand["norm_text"]).to_numpy(),
+        to_matrix(cand["leg"], np.float32) if want_pred else None,
     ))
 
-    q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id, query_text)
+    q = prepare_side(queries, cfg, weights_ref, vocab_ref, meta, query_id,
+                     query_text, with_leg=want_pred)
+    head = _ModelStage(weights_ref, vocab_ref, meta) if want_pred else None
     pairs = q.map_batches(
-        functools.partial(_global_topk, payload_ref=payload_ref, cfg=cfg),
+        functools.partial(_global_topk, payload_ref=payload_ref, cfg=cfg, head=head),
         batch_format="pyarrow",
         batch_size=256,
     )
-    if cfg.ranking.ranking_metric == "conf" or cfg.ranking.calc_predict:
-        # the model runs only when asked (candidateRanker.py:431-441);
-        # PairScorer replaces the NaN pred_score column
-        pairs = pairs.map_batches(
-            PairScorer(weights_ref=weights_ref, vocab_ref=vocab_ref, meta=meta,
-                       s1_col="query", s2_col="candidate", with_classical=False,
-                       preprocessing=cfg.preprocessing, tokenization=cfg.tokenization),
-            batch_format="pyarrow", batch_size=cfg.execution.score_batch_size)
     return rank_pairs(pairs, cfg)
 
 
-def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table:
+def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig,
+                 head=None) -> pa.Table:
     """Per query batch, against the broadcast candidate payload (valid
-    candidates' embeddings, ids, names, normalized lengths): the
+    candidates' embeddings, ids, names, normalized lengths, legs): the
     ``dense_pairs`` shortlist of each query's fixpoint set (the
-    threshold of the faiss or cosine metric, within ``length_diff``).
-    Ids and names are gathered with Arrow ``take``, so they keep their
-    input types."""
-    c_emb, c_ids, c_orig, c_len = ray.get(payload_ref)
+    threshold of the faiss or cosine metric, within ``length_diff``),
+    scored by ``_pred_scores``. Ids and names are gathered with Arrow
+    ``take``, so they keep their input types."""
+    c_emb, c_ids, c_orig, c_len, c_leg = ray.get(payload_ref)
     r = cfg.ranking
     q_emb = to_matrix(batch["emb"], np.float32)
     q_valid = batch["emb_valid"].to_numpy()
@@ -575,6 +540,8 @@ def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table
         threshold=thr.get(r.ranking_metric), allow=allow)
     if not (r.calc_cosine or r.ranking_metric == "cosine"):
         cos = np.full(len(qi), np.nan)
+    q_leg = None if head is None else to_matrix(batch["leg"], np.float32)
+    pred = _pred_scores(head, q_leg, c_leg, qi, ci)
     qi, ci = pa.array(qi), pa.array(ci)
     return pa.table({
         "query_id": batch["id"].take(qi),
@@ -583,5 +550,5 @@ def _global_topk(batch: pa.Table, *, payload_ref, cfg: EngineConfig) -> pa.Table
         "candidate": c_orig.take(ci),
         "faiss_dist": pa.array(fd.astype(np.float32)),
         "cosine_dist": pa.array((1.0 - cos).astype(np.float32)),
-        "pred_score": pa.array(np.full(len(qi), np.nan, dtype=np.float32)),
+        "pred_score": pa.array(pred),
     })

@@ -558,3 +558,25 @@ def test_to_matrix_precision_identical_across_layouts():
     # default contract: null rows are rejected loudly, never ranked
     with pytest.raises(ValueError, match="null"):
         to_matrix(lst_with_null, dtype=np.float64)
+
+
+def test_lsh_signatures_do_not_depend_on_the_batch():
+    """Both LSH plans hash a vector by the signs of its projections
+    (``ann.lsh_signatures``). Each row here is orthogonal to one
+    hyperplane, so that projection is rounding noise whose sign a
+    batch-level matmul sets by the batch layout; through ``row_matmul``
+    the same rows hash bit-equal in batches of 1, 3, 7 and 101."""
+    from deezymatch_ray.stages.ann import lsh_signatures
+
+    rng = np.random.default_rng(0)
+    n_tables, n_bits, d, n = 8, 6, 24, 101
+    planes = rng.standard_normal((n_tables * n_bits, d))
+    mat = rng.standard_normal((n, d))
+    p = planes[np.arange(n) % len(planes)]
+    mat -= (np.einsum("ij,ij->i", mat, p) / np.einsum("ij,ij->i", p, p))[:, None] * p
+    whole = lsh_signatures(mat, planes, n_bits)
+    assert whole.shape == (n, n_tables)
+    for size in (1, 3, 7, 101):
+        parts = [lsh_signatures(mat[s : s + size], planes, n_bits)
+                 for s in range(0, n, size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
