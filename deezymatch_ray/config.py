@@ -140,9 +140,9 @@ class ExecutionConfig:
     # every stage as tasks and never reads it.
     score_concurrency: tuple[int, int] = (1, 8)
     # hash-bucket count for fine-keyed groupbys (block keys, query ids,
-    # pair dedup, band keys): bounds map_groups calls. It is not the
-    # shuffle width: blocked_pairs/rank_pairs shuffle min(this, cluster
-    # CPUs) blocks (blocking._group_width), the others their input's.
+    # pair dedup, band keys). It is not the shuffle width: bucket_map
+    # cuts [0, this) into min(this, cluster CPUs) ranges and makes one
+    # UDF call per range (blocking.bucket_map).
     shuffle_partitions: int = 64
     # union-find on the driver only when BOTH edge and node counts fit
     # under this (a huge corpus with few duplicate edges must still

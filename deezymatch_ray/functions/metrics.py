@@ -1,6 +1,6 @@
 """Evaluation aggregates: classification metrics and Mean Average
 Precision, computed the Ray way — per-batch partial counts summed by a
-tiny aggregate, full per-group work only inside bucketed map_groups.
+tiny aggregate, full per-group work in whole hash buckets (``bucket_map``).
 
 Reference parity:
 - A4 accuracy/precision/recall/F1 (macro + weighted) as in
@@ -23,7 +23,7 @@ from ray.data.aggregate import Sum
 
 from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.vectors import run_starts
-from deezymatch_ray.stages.blocking import _group_width, bucket_map
+from deezymatch_ray.stages.blocking import bucket_map
 
 
 def confusion_counts(
@@ -100,8 +100,8 @@ def map_score(
     label_col: str = "label",
     score_col: str = "pred_score",
 ) -> float:
-    """A5 MAP: per-query AP, one pyarrow call per hash bucket of query
-    keys (``bucket_map``) walking the bucket's query segments, mean on
+    """A5 MAP: per-query AP, one pyarrow call per ``bucket_map`` range
+    of query-key hash buckets walking its query segments, mean on
     the driver, skipping groups with no positive label
     (utils.py:88-93)."""
     def ap_bucket(t: pa.Table) -> pa.Table:
@@ -114,8 +114,7 @@ def map_score(
             type=pa.float64())})
 
     aps = bucket_map(scored, [query_col], ap_bucket,
-                     DEFAULT_CONFIG.execution.shuffle_partitions,
-                     _group_width(DEFAULT_CONFIG))
+                     DEFAULT_CONFIG.execution.shuffle_partitions)
     # the AP column is read batch-wise and sorted before the mean, so the
     # result does not depend on the order the groups come back in
     vals = np.concatenate([np.empty(0)] + [

@@ -3,7 +3,7 @@
 Baseline: exact brute-force cosine top-k — the query matrix is small
 and broadcast once (``ray.put``); the CANDIDATE side streams through
 ``map_batches``, each block emitting its local per-query top-k, and one
-pyarrow ``select_topk`` call per hash bucket of query ids merges the
+pyarrow ``select_topk`` call per range of query-id hash buckets merges the
 local top-k's into the global one. This is the map-combine-reduce shape
 that scales to any candidate count: per-candidate work is one
 [B, D] × [D, Q] gram shortlist (``functions.vectors.dense_pairs``) and
@@ -28,7 +28,7 @@ import ray.data
 from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.vectors import dense_pairs, pair_dist, select_topk, to_matrix
 from deezymatch_ray.model.chargru import row_matmul
-from deezymatch_ray.stages.blocking import _group_width, _np_rows, bucket_map
+from deezymatch_ray.stages.blocking import _np_rows, bucket_map
 
 
 def _topk(q_ids, c_ids, sim, k: int) -> pa.Table:
@@ -42,14 +42,13 @@ def _topk(q_ids, c_ids, sim, k: int) -> pa.Table:
 def _merge_topk(local: ray.data.Dataset, k: int) -> ray.data.Dataset:
     """The global per-query top-k of the local ones, shared by every ANN
     plan: a pair may surface from several blocks, buckets or tables
-    with one similarity; one ``_topk`` call per hash bucket of query
-    ids."""
+    with one similarity; one ``_topk`` call per ``bucket_map`` range of
+    query-id hash buckets."""
     def fn(t: pa.Table) -> pa.Table:
         return _topk(t["query_id"], t["candidate_id"], t["sim"], k).drop_columns(["sim"])
 
     return bucket_map(local, ["query_id"], fn,
-                      DEFAULT_CONFIG.execution.shuffle_partitions,
-                      _group_width(DEFAULT_CONFIG))
+                      DEFAULT_CONFIG.execution.shuffle_partitions)
 
 
 def brute_force_topk(

@@ -16,10 +16,11 @@ blocks are tile-salted (``ranking.salt_hot_blocks``); a block still
 over its plan's cap is skipped with a warning, never silently.
 
 Every plan that turns key groups into pairs runs through one core,
-``segment_pairs``: rows hash-bucket with ``bucketize`` (one UDF call
-per bucket of keys; ``bucket_map``) and ``walk_segments`` generates
-the pairs of all a bucket's key segments in one NumPy pass (self pairs
-i < j, or left × right rows by a tag column), skipping the segments
+``segment_pairs``: rows hash-bucket with ``bucketize``, a sort at
+fixed bucket boundaries hands each CPU's range of whole buckets to one
+UDF call (``bucket_map``), and ``walk_segments`` generates the pairs of
+all the call's key segments in one NumPy pass (self pairs i < j, or
+left × right rows by a tag column), skipping the segments
 over the plan's caps with one warning each. The kernel contract is
 chunked: the plan's kernel is one vectorized filter per chunk of
 ≤ 2^18 pairs on bucket row positions, and only the pairs it keeps are
@@ -44,7 +45,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from deezymatch_ray.config import EngineConfig, PreprocessingConfig
+from deezymatch_ray.config import PreprocessingConfig
 from deezymatch_ray.functions.similarity import soundex_batch
 from deezymatch_ray.functions.text import normalize_array, qgram_keys_table
 from deezymatch_ray.functions.vectors import run_starts
@@ -182,12 +183,12 @@ def bucketize(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int,
               col: str = "__bucket") -> ray.data.Dataset:
     """Append a stable hash-bucket column over one or more key columns.
 
-    Buckets bound the number of map_groups invocations: Ray's
-    map_groups calls the UDF once per group, so grouping directly on a
-    fine key (50k q-gram blocks, one million query ids) pays per-group
-    scheduling/pandas overhead that dwarfs the math. Grouping on
-    ``hash(key) % num_buckets`` keeps each key's rows together while the
-    UDF processes a whole bucket of groups vectorized.
+    A fine key (50k q-gram blocks, one million query ids) cannot be a
+    shuffle's partition key, and a call per key pays fixed overhead
+    that dwarfs the math. ``hash(key) % num_buckets`` is an integer
+    domain that ``bucket_map`` cuts into ranges at fixed boundaries:
+    each key's rows stay together, and one UDF call handles a whole
+    range of buckets, vectorized.
 
     Schema metadata is dropped: a pandas-format UDF upstream leaves
     ``pandas`` metadata that can name tensor columns by Ray's pandas
@@ -219,18 +220,6 @@ def collect_side(ds: ray.data.Dataset, limit: int, message: str) -> pa.Table | N
     return pa.concat_tables(batches) if batches else None
 
 
-def _group_width(cfg: EngineConfig) -> int:
-    """Block count in front of a bucketed sort groupby. Ray's sort
-    shuffle runs one map and one reduce task per input block, so the
-    width is set here, not inherited: a ``from_arrow`` side or one small
-    parquet file arrives as 1-2 blocks and would score in 1-2 tasks on
-    any cluster, while a fixed 64-way split makes a one-core job pay a
-    64 × 64 fan-out for nothing. min(buckets, cluster CPUs) gives every
-    CPU a reduce task; more blocks than buckets would leave some empty."""
-    cpus = int(ray.cluster_resources().get("CPU", 1)) or 1
-    return min(cfg.execution.shuffle_partitions, cpus)
-
-
 def _warn_skipped_group(kind: str, key_name: str, key, m: int, cap) -> None:
     """Loud-by-default visibility for size-capped segment skips: a
     degenerate key (boilerplate shingle/band, a q-gram in every name)
@@ -258,7 +247,7 @@ def _np_rows(col: pa.ChunkedArray) -> np.ndarray:
 def walk_segments(t: pa.Table, key_col: str, kernel, oversize=None,
                   kind: str = "", tag: tuple | None = None,
                   self_join: bool = True, chunk: int = 1 << 18):
-    """The one segment walk, every pair-emitting plan's per-bucket step:
+    """The one segment walk, every pair-emitting plan's per-call step:
     sorts the bucket's (key, id) indices (no other column moves) and
     generates all its key segments' pairs in one NumPy pass — ``left`` ×
     ``right`` rows of ``tag = (col, left, right)`` in a segment holding
@@ -330,28 +319,39 @@ def walk_segments(t: pa.Table, key_col: str, kernel, oversize=None,
 
 
 def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
-               num_buckets: int, width: int | None = None) -> ray.data.Dataset:
-    """``fn`` over whole hash buckets of ``key_cols``: ``bucketize``,
-    one sort groupby over the buckets and one pyarrow ``fn(bucket)``
-    call per bucket — not one call per key. ``fn`` sees the bucket
-    without its ``__bucket`` column. ``width`` repartitions in front of
-    the groupby (see ``_group_width``); None keeps the input's block
-    count."""
-    b = bucketize(ds, key_cols, num_buckets)
-    if width:
-        b = b.repartition(width)
-    return b.groupby("__bucket").map_groups(
-        lambda t: fn(t.drop_columns(["__bucket"])), batch_format="pyarrow")
+               num_buckets: int) -> ray.data.Dataset:
+    """``fn`` over whole hash buckets of ``key_cols``: ``bucketize``, one
+    sort on ``__bucket`` at fixed boundaries that split
+    ``[0, num_buckets)`` into w = min(num_buckets, cluster CPUs) ranges,
+    and one pyarrow ``fn(table)`` call per non-empty range. A bucket is
+    never split across calls (rows at a boundary go to the upper range),
+    so each key's rows reach ``fn`` in one call, beside other keys'.
+    ``fn`` sees the rows without their ``__bucket`` column.
+
+    Fixed boundaries need no sampling pass, and the sort's reduce width
+    is w whatever the input's block count: a 1-block input still gets
+    one task per CPU, and a one-core job one call for all buckets.
+    ``sort(boundaries=[])`` would sample, so one range is the boundary
+    ``[0]`` with an empty lower range: empty ranges never reach ``fn``,
+    and a schema-less empty block ahead of the data draws no Ray
+    schema warning (one behind it would)."""
+    w = min(num_buckets, int(ray.cluster_resources().get("CPU", 1)) or 1)
+    bounds = [num_buckets * i // w for i in range(1, w)] or [0]
+    return bucketize(ds, key_cols, num_buckets).sort(
+        "__bucket", boundaries=bounds).map_batches(
+        lambda t: fn(t.drop_columns(["__bucket"])),
+        batch_format="pyarrow", batch_size=None)
 
 
-def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
-                  width: int | None = None, *, ends: dict[str, tuple[str, str]],
+def segment_pairs(keyed: ray.data.Dataset, num_buckets: int, *,
+                  ends: dict[str, tuple[str, str]],
                   values: dict[str, pa.DataType], **walk) -> ray.data.Dataset:
     """Pairs from exploded (key, id, payload…) rows: one pyarrow
-    ``walk_segments(**walk)`` call per hash bucket of ``walk["key_col"]``
-    (``bucket_map``). Per ``ends`` entry ``col: (a_name, b_name)`` the
-    output carries column ``col`` of row a and of row b (Arrow ``take``,
-    so types survive), then the kernel's ``values`` columns, typed."""
+    ``walk_segments(**walk)`` call per range of hash buckets of
+    ``walk["key_col"]`` (``bucket_map``). Per ``ends`` entry
+    ``col: (a_name, b_name)`` the output carries column ``col`` of row a
+    and of row b (Arrow ``take``, so types survive), then the kernel's
+    ``values`` columns, typed."""
 
     def pairs(t: pa.Table) -> pa.Table:
         a, b, *vals = walk_segments(t, **walk) or ([], [], *([] for _ in values))
@@ -362,4 +362,4 @@ def segment_pairs(keyed: ray.data.Dataset, num_buckets: int,
                     for (name, typ), v in zip(values.items(), vals)})
         return pa.table(out)
 
-    return bucket_map(keyed, [walk["key_col"]], pairs, num_buckets, width)
+    return bucket_map(keyed, [walk["key_col"]], pairs, num_buckets)

@@ -46,6 +46,7 @@ import warnings
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Min
 
@@ -63,6 +64,7 @@ from deezymatch_ray.stages.ann import lsh_signatures
 from deezymatch_ray.stages.blocking import (
     _np_rows,
     _warn_skipped_group,  # noqa: F401 (the banded plans' skip warning)
+    bucket_map,
     bucketize,
     collect_side,
     segment_pairs,
@@ -609,18 +611,13 @@ def exact_dedup_incremental(
         corpus_ds.map_batches(project(0), batch_format="pyarrow")
     )
 
-    def keep_new(bucket: pd.DataFrame) -> pd.DataFrame:
-        corp = set(bucket.loc[bucket["side"] == 0, "fp"])
-        out = bucket.loc[
-            (bucket["side"] == 1) & ~bucket["fp"].isin(corp), ["id"]
-        ]
-        return out.rename(columns={"id": id_col}).sort_values(id_col)
+    def keep_new(t: pa.Table) -> pa.Table:
+        new = pc.equal(t["side"], 1)
+        corp = t.filter(pc.invert(new))["fp"]
+        out = t.filter(pc.and_(new, pc.invert(pc.is_in(t["fp"], value_set=corp))))
+        return pa.table({id_col: out["id"]})
 
-    return (
-        bucketize(both, ["fp"], num_buckets)
-        .groupby("__bucket")
-        .map_groups(keep_new, batch_format="pandas")
-    )
+    return bucket_map(both, ["fp"], keep_new, num_buckets)
 
 
 def minhash_lsh_dedup_incremental(

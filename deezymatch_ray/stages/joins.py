@@ -9,13 +9,12 @@ against DuckDB's native ``ASOF JOIN``.
 
 Physical plan: both sides union into one keyed stream (right projected
 to (key, ts), left columns null-padded on the right rows), hash-bucketed
-by key, and each key group resolves all its left rows with ONE sorted
-``searchsorted`` pass per key — no per-row loop, no window
-materialization. The shuffle carries each row exactly once; skewed keys
-are bounded by the bucket count like every other bucketized groupby in
-this repo.
+by key (``blocking.bucket_map``), and each key resolves all its left
+rows with ONE sorted ``searchsorted`` pass — no per-row loop, no window
+materialization. The shuffle carries each row exactly once; a hot key
+still lands in one call, with all its rows.
 
-The resolve stage runs on **pyarrow** group blocks end-to-end: carried
+The resolve stage runs on **pyarrow** tables end-to-end: carried
 left columns are sliced out of the Arrow table with ``filter`` and never
 pass through pandas, so an int64 id column keeps full 64-bit precision
 (a pandas ``map_groups`` would widen null-padded int columns to float64
@@ -35,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from deezymatch_ray.stages.blocking import _np_rows, bucketize
+from deezymatch_ray.stages.blocking import _np_rows, bucket_map
 
 
 def asof_join_latest(
@@ -81,8 +80,9 @@ def asof_join_latest(
     nat = np.datetime64("NaT", "us")
 
     def resolve(t: pa.Table) -> pa.Table:
-        """One hash bucket holds MANY keys: resolve per key (vectorized
-        searchsorted within each key's rows; Python cost is O(#keys)).
+        """A call holds whole hash buckets of MANY keys: resolve per key
+        (vectorized searchsorted within each key's rows; Python cost is
+        O(#keys)).
         Pure-Arrow row selection — left payload columns keep their exact
         dtypes and values (no pandas float64 round-trip). Null-key or
         null-timestamp left rows are emitted with NaT (a None key can't
@@ -141,9 +141,4 @@ def asof_join_latest(
                 )
         return lt.append_column(out_col, pa.array(out))
 
-    return bucketize(unioned, [key], num_partitions).groupby(
-        "__bucket"
-    ).map_groups(
-        lambda t: resolve(t.drop_columns(["__bucket"])),
-        batch_format="pyarrow",
-    )
+    return bucket_map(unioned, [key], resolve, num_partitions)

@@ -81,7 +81,6 @@ from deezymatch_ray.functions.vectors import (
 )
 from deezymatch_ray.stages.blocking import (
     DeriveBlockKeys,
-    _group_width,
     bucket_map,
     collect_side,
     walk_segments,
@@ -141,11 +140,12 @@ _TILE = "\x1ftile:"  # salted tile keys: "<block_key>\x1ftile:a-b"
 
 def score_block_bucket(t: pa.Table, *, cfg: EngineConfig,
                        self_join: bool = False, head=None) -> pa.Table:
-    """Score every block of one hash bucket (``blocked_pairs``' step,
-    callable in-process): one ``walk_segments`` pass over the pairs with
-    valid embeddings (within ``length_diff``) — the unordered pairs of a
-    self-join block (query_id < candidate_id), the q × c rows of a
-    salted tile or of a ``self_join=False`` block; blocks over
+    """Score every block of a table of whole hash buckets
+    (``blocked_pairs``' step, callable in-process): one
+    ``walk_segments`` pass over the pairs with valid embeddings (within
+    ``length_diff``) — the unordered pairs of a self-join block
+    (query_id < candidate_id), the q × c rows of a salted tile or of a
+    ``self_join=False`` block; blocks over
     ``max_block_size`` members or ``max_pairs_per_block`` pairs are
     skipped with a warning, salted tiles never. Under the faiss and
     cosine metrics the walk drops the pairs ``pair_shortlist`` proves
@@ -224,7 +224,7 @@ def _select(t: pa.Table, cfg: EngineConfig, group) -> pa.Table:
 
 
 def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.Table:
-    """Per-``group`` selection over a whole hash bucket, in the rank
+    """Per-``group`` selection over whole hash buckets, in the rank
     schema (int32 ``rank``): dedup, threshold on the ranking metric,
     (metric, candidate_id) order, top-k, rank
     (candidateRanker.py:483-544)."""
@@ -237,9 +237,9 @@ def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.
 def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
     """Drop duplicate (query_id, candidate_id) rows — the D1 pattern
     (SURVEY §2.7): hash-bucket the pair key, then one vectorized Arrow
-    pass per bucket. A pair shared by k blocks arrives k times with
-    equal distances (``pair_dist`` depends on the two vectors only), so
-    any copy is kept."""
+    pass per ``bucket_map`` call. A pair shared by k blocks arrives k
+    times with equal distances (``pair_dist`` depends on the two vectors
+    only), so any copy is kept."""
     def fn(t: pa.Table) -> pa.Table:
         t = t.sort_by([("query_id", "ascending"), ("candidate_id", "ascending")])
         return t.filter(pa.array(run_starts(t, ["query_id", "candidate_id"])))
@@ -403,14 +403,14 @@ def blocked_pairs(
     key=None, head=None,
 ) -> ray.data.Dataset:
     """Keyed (block_key + payload) rows → scored within-block pairs: one
-    ``score_block_bucket`` call per hash bucket of block keys
-    (``blocking.bucket_map``) behind a sort shuffle of ``_group_width``
-    blocks. With ``key`` (a ``_KeyAndCarry``), ``rows`` are prepared
-    rows that ``key`` explodes on their way into the shuffle (never held
-    in the object store), and the hot-key census counts the slim
-    ``key.block_keys``. Self-join inputs are materialized, then hot
-    blocks tile-salted (``salt_hot_blocks``): the census and the
-    re-emit would otherwise each re-execute the lazy upstream."""
+    ``score_block_bucket`` call per range of hash buckets of block keys
+    (``blocking.bucket_map``). With ``key`` (a ``_KeyAndCarry``),
+    ``rows`` are prepared rows that ``key`` explodes on their way into
+    the shuffle (never held in the object store), and the hot-key
+    census counts the slim ``key.block_keys``. Self-join inputs are
+    materialized, then hot blocks tile-salted (``salt_hot_blocks``):
+    the census and the re-emit would otherwise each re-execute the lazy
+    upstream."""
     salt = self_join and cfg.blocking.salt_hot_blocks
     if salt:
         rows = rows.materialize()
@@ -421,16 +421,16 @@ def blocked_pairs(
     return bucket_map(keyed, ["block_key"],
                       functools.partial(score_block_bucket, cfg=cfg,
                                         self_join=self_join, head=head),
-                      cfg.execution.shuffle_partitions, _group_width(cfg))
+                      cfg.execution.shuffle_partitions)
 
 
 def rank_pairs(pairs: ray.data.Dataset, cfg: EngineConfig) -> ray.data.Dataset:
     """Final per-query dedup + threshold + top-k + rank over scored
-    pairs, one ``select_bucket`` call per hash bucket of query ids,
-    behind a sort shuffle of _group_width blocks."""
+    pairs, one ``select_bucket`` call per range of hash buckets of
+    query ids (``blocking.bucket_map``)."""
     return bucket_map(pairs, ["query_id"],
                       functools.partial(select_bucket, cfg=cfg),
-                      cfg.execution.shuffle_partitions, _group_width(cfg))
+                      cfg.execution.shuffle_partitions)
 
 
 class _KeyAndCarry:

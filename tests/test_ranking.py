@@ -655,8 +655,8 @@ def _keyed_rows(n=150, n_keys=40, hot=60, dim=8, seed=5) -> pa.Table:
 
 @pytest.mark.parametrize("n_blocks", [1, 7])
 def test_shuffle_width_does_not_change_results(n_blocks):
-    """The bucketed sort groupbys shuffle min(buckets, cluster CPUs)
-    blocks whatever the input's block count (a 1-block input must not
+    """``bucket_map`` sorts into min(buckets, cluster CPUs) ranges
+    whatever the input's block count (a 1-block input must not
     collapse them to one task); blocked_pairs → dedup_pairs and
     rank_pairs must return the rows (faiss_dist included, bit for bit)
     that one in-process call of each bucket kernel over the whole input

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import re
+from collections import Counter
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "deezymatch_ray"
 
@@ -19,7 +20,23 @@ def test_pandas_batch_format_sites_do_not_grow():
         for i, line in enumerate(p.read_text().splitlines(), 1)
         if 'batch_format="pandas"' in line
     ]
-    assert len(sites) <= 5, sites
+    assert len(sites) <= 4, sites
+
+
+def test_map_groups_only_at_known_sites():
+    """``map_groups`` calls its UDF once per group and samples sort
+    boundaries first; a whole-bucket UDF runs through
+    ``blocking.bucket_map`` (one call per range of hash buckets). The
+    sites left: ``analysis.py``'s top-k, sessions and rolling, and
+    near_dup's pandas ``attach``."""
+    sites = Counter(
+        p.relative_to(PKG).as_posix()
+        for p in PKG.rglob("*.py")
+        for line in p.read_text().splitlines()
+        if ".map_groups(" in line
+    )
+    allowed = Counter({"pipelines/analysis.py": 3, "stages/dedup.py": 1})
+    assert sites <= allowed, sites
 
 
 def test_library_runs_no_actor_pools():

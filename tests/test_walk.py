@@ -1,20 +1,22 @@
-"""The segment walk and the aligned-pair shortlist against naive
-references: a per-segment Python walk, and exact distances on every
-pair."""
+"""The segment walk, its bucket carrier and the aligned-pair shortlist
+against naive references: a per-segment Python walk, a per-key
+aggregate, and exact distances on every pair."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import uuid
 import warnings
 
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray
 
 from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.vectors import pair_dist, pair_shortlist, select_topk
-from deezymatch_ray.stages.blocking import walk_segments
+from deezymatch_ray.stages.blocking import bucket_map, walk_segments
 from deezymatch_ray.stages.ranking import _TILE, score_block_bucket
 
 CAP = 9  # segments of more rows are skipped in the walk tests
@@ -242,3 +244,33 @@ def test_shortlist_keeps_pairs_at_the_threshold(d):
         keep = pair_shortlist(x, ix, iy, by, thr)
         assert not keep[beyond].any(), by
         assert beyond.any() or d == 1  # one column: every cosine is ±1
+
+
+@pytest.mark.parametrize("num_buckets", [16, 1], ids=["ranges", "one-range"])
+def test_bucket_map_hands_whole_buckets_to_few_calls(num_buckets):
+    """On a 12-block input of 400 keys, every key's rows reach ``fn`` in
+    one call, ``fn`` runs at most w = min(buckets, CPUs) times and never
+    on an empty or column-less table, and the output equals a per-key
+    reference. 16 buckets over the test cluster's CPUs cut several ranges;
+    1 bucket is the one-range plan, whose sort leaves an empty range."""
+    rng = np.random.default_rng(num_buckets)
+    n = 6000
+    tbl = pa.table({"k": pa.array([f"k{x}" for x in rng.integers(0, 400, n)]),
+                    "v": pa.array(rng.integers(0, 1000, n))})
+    ds = ray.data.from_arrow([tbl.slice(i, 500) for i in range(0, n, 500)])
+    w = min(num_buckets, int(ray.cluster_resources()["CPU"]))
+
+    def fn(t: pa.Table) -> pa.Table:
+        assert t.num_rows > 0 and t.column_names == ["k", "v"], t.schema
+        g = t.group_by("k").aggregate([("v", "count"), ("v", "sum")])
+        return g.append_column("call", pa.array([uuid.uuid4().hex] * g.num_rows))
+
+    got = bucket_map(ds, ["k"], fn, num_buckets).to_pandas()
+    assert got["k"].is_unique  # a key split over calls would repeat
+    assert 1 <= got["call"].nunique() <= w
+    if num_buckets > 1:
+        assert w > 1 and got["call"].nunique() > 1
+    want = tbl.group_by("k").aggregate([("v", "count"), ("v", "sum")]).to_pandas()
+    cols = ["k", "v_count", "v_sum"]
+    assert (got[cols].sort_values("k").reset_index(drop=True)
+            .equals(want[cols].sort_values("k").reset_index(drop=True)))
