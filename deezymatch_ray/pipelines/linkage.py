@@ -29,7 +29,7 @@ from deezymatch_ray.sources.spans import add_join_text
 from deezymatch_ray.stages.clustering import (
     connected_components_distributed,
     connected_components_driver,
-    edges_from_ranked,
+    join_width,
 )
 from deezymatch_ray.stages.ranking import (
     _KeyAndCarry,
@@ -47,6 +47,10 @@ DEFAULT_MODEL_DIR = (
     if os.path.exists(os.path.join(_REPO_ARTIFACT_DIR, "model.npz"))
     else "/tmp/deezymatch_ray_models/default"
 )
+
+# near-dup candidate sets up to this many pairs are verified on the
+# driver; larger ones hash-join the shingle-hash blobs back by id
+DRIVER_VERIFY_LIMIT = 500_000
 
 
 def train_model(
@@ -186,7 +190,14 @@ def cluster_near_dup_documents(
     Jaccard, and clusters accepted edges transitively. Candidate recall
     is the standard LSH band bound (≥ 1-(1-t^r)^b; ~0.9997 at t=0.5,
     r=4, b=16).
-    """
+
+    The docs are read twice: by the band walk and by one doc pass that
+    emits every doc id (the node set) with the shingle-hash blob of each
+    doc in a candidate pair. Up to ``DRIVER_VERIFY_LIMIT`` candidates
+    are verified on the driver (~5 µs a pair), which reads only the blob
+    rows once the node count is over ``driver_edge_limit``; more
+    hash-join every doc's blob back by id. The driver CC path returns a
+    materialized result."""
     from deezymatch_ray.stages.dedup import (
         _pack16,
         _shingle_hashes,
@@ -198,20 +209,11 @@ def cluster_near_dup_documents(
         n_bands=n_bands, threshold=0.0,
     ).materialize()
     n_cand = cand.count()
+    on_driver = n_cand <= DRIVER_VERIFY_LIMIT
 
-    # Each doc is shingled+hashed ONCE (round-3 fix: the old verify
-    # re-built set(word_shingles(text)) for both docs of EVERY candidate
-    # pair — a doc in p pairs was re-shingled p times, O(pairs×doc_len)
-    # Python in the flagship's verify stage). Verification intersects
-    # the precomputed sorted 128-bit hash arrays with searchsorted;
-    # hash-identity stands in for shingle identity (see _shingle_hashes).
-    def hash_docs(batch: pa.Table) -> pa.Table:
-        hs = _shingle_hashes(batch[text_col].to_pylist(), shingle_n)
-        return pa.table({
-            id_col: batch[id_col],
-            "sh_blob": pa.array([_pack16(h) for h in hs], type=pa.binary()),
-        })
-
+    # Each doc is shingled+hashed once; verification intersects the
+    # sorted 128-bit hash arrays with searchsorted, hash-identity
+    # standing in for shingle identity (see _shingle_hashes).
     def _inter_count(a: np.ndarray, b: np.ndarray) -> int:
         if a.size == 0 or b.size == 0:
             return 0
@@ -219,65 +221,51 @@ def cluster_near_dup_documents(
         return int(np.count_nonzero(a[idx] == b))
 
     def _jaccard_ok(sa: np.ndarray, sb: np.ndarray) -> bool:
-        """THE accept predicate for both verify paths (broadcast and
-        join) — one definition so a threshold/denominator tweak can
-        never diverge them."""
         inter = _inter_count(sa, sb)
         denom = sa.size + sb.size - inter
         return denom > 0 and inter / denom >= jaccard_threshold
 
-    def _blob_pairs_ok(a_blobs: list, b_blobs: list) -> list[int]:
-        return [
-            i
-            for i in range(len(a_blobs))
-            if _jaccard_ok(
-                np.frombuffer(a_blobs[i] or b"", dtype="S16"),
-                np.frombuffer(b_blobs[i] or b"", dtype="S16"),
-            )
-        ]
+    def _edges(t: pa.Table, blobs_a: list, blobs_b: list) -> pa.Table:
+        """THE accept step of both verify paths (driver and join): the
+        (doc_a, doc_b) rows of ``t`` whose docs' packed hashes pass."""
+        keep = pa.array([_jaccard_ok(np.frombuffer(x or b"", dtype="S16"),
+                                     np.frombuffer(y or b"", dtype="S16"))
+                         for x, y in zip(blobs_a, blobs_b)], type=pa.bool_())
+        return pa.table({"src": t["doc_a"].filter(keep), "dst": t["doc_b"].filter(keep)})
 
-    if n_cand <= 500_000:
-        # small candidate set: broadcast the involved docs' shingle-hash
-        # arrays instead of two hash joins (join actor spin-up dwarfs
-        # the work at this size)
-        involved = set()
-        for r in cand.iter_rows():
-            involved.add(r["doc_a"])
-            involved.add(r["doc_b"])
-        inv_ref = ray.put(involved)
+    if on_driver:
+        pairs = _read(cand, ["doc_a", "doc_b"])
+        inv_ref = ray.put(set(pairs["doc_a"].to_pylist())
+                          | set(pairs["doc_b"].to_pylist()))
+    else:
+        inv_ref = None  # the join needs every doc's blob
 
-        def pick(batch: pa.Table) -> pa.Table:
-            inv = ray.get(inv_ref)
-            mask = pa.array([v in inv for v in batch[id_col].to_pylist()])
-            return hash_docs(batch.select([id_col, text_col]).filter(mask))
+    def doc_pass(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col]
+        inv = None if inv_ref is None else ray.get(inv_ref)
+        rows = [i for i, v in enumerate(ids.to_pylist()) if inv is None or v in inv]
+        hs = _shingle_hashes(batch[text_col].take(pa.array(rows, type=pa.int64())).to_pylist(),
+                             shingle_n)
+        blobs = [None] * batch.num_rows
+        for i, h in zip(rows, hs):
+            blobs[i] = _pack16(h)
+        return pa.table({id_col: ids, "sh_blob": pa.array(blobs, type=pa.binary())})
 
-        hmap: dict = {}
-        for b in docs.map_batches(pick, batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
-            hmap.update(zip(
-                b[id_col].to_pylist(),
-                (np.frombuffer(x or b"", dtype="S16") for x in b["sh_blob"].to_pylist()),
-            ))
-        hmap_ref = ray.put(hmap)
-
-        def verify_bc(batch: pa.Table) -> pa.Table:
-            hm = ray.get(hmap_ref)
-            a_ids = batch["doc_a"].to_pylist()
-            b_ids = batch["doc_b"].to_pylist()
-            empty = np.array([], dtype="S16")
-            keep = [
-                i
-                for i in range(len(a_ids))
-                if _jaccard_ok(hm.get(a_ids[i], empty), hm.get(b_ids[i], empty))
-            ]
-            t = batch.take(pa.array(keep, type=pa.int64()))
-            return pa.table({"src": t["doc_a"], "dst": t["doc_b"]})
-
-        edges = cand.map_batches(verify_bc, batch_format="pyarrow")
+    nodes = docs.map_batches(doc_pass, batch_format="pyarrow").materialize()
+    if on_driver:
+        held = nodes
+        if nodes.count() > driver_edge_limit:  # too many ids to pull: blob rows only
+            held = nodes.map_batches(lambda b: b.filter(b["sh_blob"].is_valid()),
+                                     batch_format="pyarrow").materialize()
+        t = _read(held, [id_col, "sh_blob"])
+        blob = dict(zip(t[id_col].to_pylist(), t["sh_blob"].to_pylist()))
+        edges = _edges(pairs, [blob[a] for a in pairs["doc_a"].to_pylist()],
+                       [blob[b] for b in pairs["doc_b"].to_pylist()])
     else:
         # large candidate set: hash-join the (much smaller than text)
         # shingle-hash blobs back by id — the scale path
-        hashed = docs.map_batches(hash_docs, batch_format="pyarrow").materialize()
-        j1 = cand.join(hashed, join_type="inner", num_partitions=16,
+        width = join_width(n_cand, 16)
+        j1 = cand.join(nodes, join_type="inner", num_partitions=width,
                        on=("doc_a",), right_on=(id_col,))
         # explicit projection between joins: leftover right-side columns
         # make the second join's key reference ambiguous
@@ -286,23 +274,25 @@ def cluster_near_dup_documents(
                                 "blob_a": b["sh_blob"]}),
             batch_format="pyarrow",
         )
-        j2 = j1.join(hashed, join_type="inner", num_partitions=16,
+        j2 = j1.join(nodes, join_type="inner", num_partitions=width,
                      on=("doc_b",), right_on=(id_col,))
-
-        def verify(batch: pa.Table) -> pa.Table:
-            keep = _blob_pairs_ok(batch["blob_a"].to_pylist(),
-                                  batch["sh_blob"].to_pylist())
-            t = batch.take(pa.array(keep, type=pa.int64()))
-            return pa.table({"src": t["doc_a"], "dst": t["doc_b"]})
-
-        edges = j2.map_batches(verify, batch_format="pyarrow")
-    return _cluster(edges, docs.select_columns([id_col]), id_col,
-                    distributed_cc, driver_edge_limit,
+        edges = j2.map_batches(
+            lambda b: _edges(b, b["blob_a"].to_pylist(), b["sh_blob"].to_pylist()),
+            batch_format="pyarrow")
+    return _cluster(edges, nodes, id_col, distributed_cc, driver_edge_limit,
                     DEFAULT_CONFIG.execution.cluster_max_rounds)
 
 
+def _read(ds: ray.data.Dataset, names: list[str]) -> pa.Table:
+    """Columns ``names`` of a materialized ``ds`` as one driver-side
+    Arrow table, read in place: no Ray execution starts."""
+    parts = [b.select(names) for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+             if b.num_rows]
+    return pa.concat_tables(parts) if parts else pa.table({n: pa.array([]) for n in names})
+
+
 def _cluster(
-    edges: ray.data.Dataset,
+    edges: pa.Table | ray.data.Dataset,
     nodes: ray.data.Dataset,
     id_col: str,
     distributed: bool | None,
@@ -310,39 +300,40 @@ def _cluster(
     max_rounds: int,
 ) -> ray.data.Dataset:
     """The clustering tail of both flagships: accepted (src, dst) edges
-    + every node id (column ``id_col``) → (doc_id, cluster_id), keeping
-    the id type on both paths.
+    (a driver-side table, or a Dataset materialized here) + every node
+    id (column ``id_col`` of the already-materialized ``nodes``) →
+    (doc_id, cluster_id), keeping the id type on both paths.
 
     Driver union-find while max(edges, nodes) ≤ ``limit``, otherwise
     (or when ``distributed`` forces it) distributed min-label
     propagation. The gate counts NODES too (round-3 VERDICT #5): a
-    corpus with billions of docs and few duplicate edges must not
-    take_all() every doc id onto the driver. Both inputs materialize
-    once, so the counts are metadata-free and neither path re-runs the
-    caller's pipeline."""
-    # r5 interleaved A/B (BASELINE.md §Linkage-gate A/B): this node
-    # materialize against a lazy docs.count() gate differed by −5.3 to
-    # +4.6 s per pair while identical code swung 14.5→31.1 s — drift
-    nodes = nodes.materialize()
-    edges = edges.materialize()
+    corpus with billions of docs and few duplicate edges must not pull
+    every doc id onto the driver. Both counts are metadata, so neither
+    path re-runs the caller's pipeline. The driver path reads the id
+    column of ``nodes`` in place and returns a materialized result, so
+    it starts no Ray execution on a driver-side edge table; the
+    distributed path projects the id column lazily."""
+    local = isinstance(edges, pa.Table)
+    edges = edges if local else edges.materialize()
     if distributed is None:
-        distributed = max(edges.count(), nodes.count()) > limit
+        distributed = max(edges.num_rows if local else edges.count(), nodes.count()) > limit
     if distributed:
         return connected_components_distributed(
-            edges, nodes=nodes.rename_columns({id_col: "doc_id"}),
+            ray.data.from_arrow(edges) if local else edges,
+            nodes=nodes.select_columns([id_col]).rename_columns({id_col: "doc_id"}),
             max_rounds=max_rounds,
         )
+    edges = edges if local else _read(edges, ["src", "dst"])
+    ids = _read(nodes, [id_col])[id_col]
     assign = connected_components_driver(
-        [(r["src"], r["dst"]) for r in edges.take_all()],
-        [r[id_col] for r in nodes.take_all()],
+        list(zip(edges["src"].to_pylist(), edges["dst"].to_pylist())),
+        ids.to_pylist(),
     )
     items = sorted(assign.items())
-    sch = nodes.schema()
-    id_type = dict(zip(sch.names, sch.types))[id_col]
     return ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([k for k, _ in items], type=id_type),
-        "cluster_id": pa.array([v for _, v in items], type=id_type),
-    }))
+        "doc_id": pa.array([k for k, _ in items], type=ids.type),
+        "cluster_id": pa.array([v for _, v in items], type=ids.type),
+    })).materialize()
 
 
 def link_documents(
@@ -427,7 +418,6 @@ def link_documents(
         return pa.table({"src": t["query_id"], "dst": t["candidate_id"]})
 
     return _cluster(
-        pairs.map_batches(to_edges, batch_format="pyarrow"),
-        prepared.select_columns(["id"]), "id", distributed_cc,
+        pairs.map_batches(to_edges, batch_format="pyarrow"), prepared, "id", distributed_cc,
         cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
     )

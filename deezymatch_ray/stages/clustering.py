@@ -68,6 +68,19 @@ def connected_components_driver(edges: list[tuple[str, str]], nodes: list[str] |
     return out
 
 
+def join_width(n_rows: int, cap: int) -> int:
+    """Partitions of a ``Dataset.join`` over ~``n_rows`` rows. Ray's
+    hash join misbehaves when partitions receive (near-)zero rows —
+    Acero rejects the column-less empty tables ("No match or multiple
+    matches for key field") and joins wider than the cluster's CPUs
+    stall aggregator scheduling — so partitions get ≥~4k expected rows
+    each, at most ``cap`` and the cluster CPUs (verified: a 1-edge graph
+    fails at 4+ partitions and hangs at 32 on a 4-CPU cluster, as a
+    2-candidate near-dup join did at 16)."""
+    cpus = int(ray.cluster_resources().get("CPU", 8)) or 8
+    return max(1, min(cap, cpus, -(-n_rows // 4096)))
+
+
 def _hot_keys(ds: ray.data.Dataset, key_col: str, threshold: int) -> dict:
     """{key: row_count} for keys with ≥ ``threshold`` rows. The census
     groupby shuffles (key, count) partials, and the collect is bounded
@@ -219,16 +232,8 @@ def connected_components_distributed(
     labels = labels.map_batches(init_label, batch_format="pyarrow").materialize()
     directed = directed.materialize()
 
-    # Adaptive join width. Ray's hash join misbehaves when partitions
-    # receive (near-)zero rows — Acero rejects the column-less empty
-    # tables ("No match or multiple matches for key field") and very
-    # wide joins on small clusters can stall aggregator scheduling —
-    # so size partitions to ≥~4k expected rows each, ≤ cluster CPUs,
-    # with 1 partition for small graphs (verified: a 1-edge graph fails
-    # at 4+ partitions and hangs at 32 on a 4-CPU cluster).
     n_lab = labels.count()
-    cpus = int(ray.cluster_resources().get("CPU", 8)) or 8
-    P = max(1, min(num_partitions, cpus, -(-n_lab // 4096)))
+    P = join_width(n_lab, num_partitions)
 
     # static degree census: hub nodes (degree ≥ threshold) get their
     # edge⋈label join salted every round. Salting needs ≥2 partitions

@@ -172,8 +172,9 @@ def _hot_member(h: np.ndarray, hot: np.ndarray) -> np.ndarray:
 
 def _pack16(arr: np.ndarray) -> bytes:
     """Pack an 'S16' hash array into one blob (Acero joins reject
-    list<binary> non-key fields; a flat binary column joins fine)."""
-    return b"".join(bytes(v).ljust(16, b"\0") for v in arr)
+    list<binary> non-key fields; a flat binary column joins fine): the
+    array's own 16-byte cells, zero-padded as NumPy stores them."""
+    return np.ascontiguousarray(arr).tobytes()
 
 
 def _unpack16(blob: bytes | None) -> set[bytes]:

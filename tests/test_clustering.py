@@ -105,6 +105,96 @@ def test_int_ids_cluster_identically_on_both_paths():
     assert list(zip(got[0].doc_id, got[0].cluster_id)) == [(9, 9), (10, 9), (11, 11)]
 
 
+def _near_dup_corpus() -> pa.Table:
+    """Docs 0/1 share 17 of 39 word 3-shingles (Jaccard 0.44) and two
+    MinHash bands; docs 2/3 are identical; doc 4 is shorter than a
+    shingle; docs 5-7 share nothing."""
+    base = [f"w1t{i}" for i in range(30)]
+    texts = [" ".join(base), " ".join(base[:19] + [f"v1t{i}" for i in range(11)]),
+             "the quick brown fox jumps over the lazy dog",
+             "the quick brown fox jumps over the lazy dog", "two words"]
+    texts += [f"unrelated body {i} with words {i * 7} {i * 13} {i * 29}" for i in range(3)]
+    return pa.table({"doc_id": pa.array([f"d{i}" for i in range(len(texts))]),
+                     "text": pa.array(texts)})
+
+
+def _clusters(ds: ray.data.Dataset) -> list[tuple]:
+    t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    return sorted(zip(t["doc_id"].to_pylist(), t["cluster_id"].to_pylist()))
+
+
+def test_scale_verify_branch_matches_driver_branch(monkeypatch):
+    """Over ``DRIVER_VERIFY_LIMIT`` candidates the shingle-hash blobs
+    are hash-joined back by id; that branch keeps and rejects the same
+    candidates as the driver verify, including a band-matched pair
+    under the Jaccard threshold."""
+    from deezymatch_ray.pipelines import linkage
+    from deezymatch_ray.stages.dedup import minhash_lsh_near_dup
+
+    docs = ray.data.from_arrow(_near_dup_corpus())
+    cand = {(r["doc_a"], r["doc_b"]) for r in
+            minhash_lsh_near_dup(docs, threshold=0.0).take_all()}
+    assert ("d0", "d1") in cand and ("d2", "d3") in cand
+    driver = _clusters(linkage.cluster_near_dup_documents(docs))
+    joins = []
+    join = ray.data.Dataset.join
+    monkeypatch.setattr(ray.data.Dataset, "join",
+                        lambda self, *a, **k: joins.append(1) or join(self, *a, **k))
+    monkeypatch.setattr(linkage, "DRIVER_VERIFY_LIMIT", 0)
+    scale = _clusters(linkage.cluster_near_dup_documents(docs))
+    assert len(joins) == 2
+    assert scale == driver
+    m = dict(driver)
+    assert m["d1"] == "d1" and m["d3"] == "d2"
+
+
+@pytest.mark.parametrize("rows", [range(8), range(4, 8)], ids=["pairs", "no-pairs"])
+def test_short_doc_is_a_singleton_on_both_paths(rows):
+    """A doc shorter than ``shingle_n`` words has no MinHash rows and
+    no candidate pair; it is still a node of both clustering paths,
+    also in a corpus without any candidate pair."""
+    from deezymatch_ray.pipelines import linkage
+
+    docs = ray.data.from_arrow(_near_dup_corpus().take(list(rows)))
+    got = [_clusters(linkage.cluster_near_dup_documents(docs, distributed_cc=d))
+           for d in (False, True)]
+    assert got[0] == got[1]
+    assert len(got[0]) == len(rows) and ("d4", "d4") in got[0]
+
+
+def test_driver_path_reads_its_input_twice(tmp_path):
+    """The band walk and the doc pass read the docs; verify, clustering
+    and the caller's read of the result read them no more."""
+    from deezymatch_ray.pipelines import linkage
+
+    log = tmp_path / "reads"
+
+    def mark(batch: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("read\n")
+        return batch
+
+    docs = ray.data.from_arrow(_near_dup_corpus()).map_batches(
+        mark, batch_format="pyarrow", batch_size=None)
+    got = _clusters(linkage.cluster_near_dup_documents(docs))
+    assert len(log.read_text().splitlines()) == 2
+    assert dict(got)["d3"] == "d2"
+
+
+def test_link_distributed_path_matches_driver_path():
+    """link clusters the same partition on both paths; its nodes are
+    the id column of the wide prepared side."""
+    from deezymatch_ray.data.synth import make_documents
+    from deezymatch_ray.pipelines.linkage import link_documents
+
+    docs, _ = make_documents(60, seed=3)
+    ds = ray.data.from_arrow(docs)
+    got = [_clusters(link_documents(ds, distributed_cc=d)) for d in (False, True)]
+    assert got[0] == got[1]
+    assert len(got[0]) == 60
+    assert len({c for _, c in got[0]}) < 60
+
+
 def test_non_convergence_raises_instead_of_splitting():
     n = 64
     ids = [f"c{i:04d}" for i in range(n)]

@@ -580,3 +580,20 @@ def test_lsh_signatures_do_not_depend_on_the_batch():
         parts = [lsh_signatures(mat[s : s + size], planes, n_bits)
                  for s in range(0, n, size)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def test_pack16_is_the_per_hash_join_and_round_trips():
+    """``_pack16`` writes each hash's 16 zero-padded bytes, as the
+    per-hash ``ljust`` join did, also for hashes ending in ``\\0``
+    bytes (NumPy drops those when it hands out an item); ``_unpack16``
+    gives the items back."""
+    from deezymatch_ray.stages.dedup import _pack16, _unpack16
+
+    arr = np.sort(np.array([b"\x01" * 16, b"ab\x00\x00", b"\x00" * 15 + b"z", b"",
+                            b"q" * 15 + b"\x00"], dtype="S16"))
+    blob = _pack16(arr)
+    assert blob == b"".join(bytes(v).ljust(16, b"\0") for v in arr)
+    assert len(blob) == 16 * len(arr)
+    assert _unpack16(blob) == {bytes(v) for v in arr}
+    assert _pack16(arr[::2]) == b"".join(bytes(v).ljust(16, b"\0") for v in arr[::2])
+    assert _pack16(np.array([], dtype="S16")) == b"" and _unpack16(b"") == set()
