@@ -42,13 +42,6 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
     return list(seen)
 
 
-def stable_hash64(token: str) -> int:
-    """Stable 64-bit hash of one token. Deterministic across processes
-    and machines, unlike built-in ``hash`` (must stay consistent with
-    ``stable_hash64_batch``)."""
-    return int(stable_hash64_batch([token])[0])
-
-
 def stable_hash64_batch(tokens: list[str], basis: str = "siphash") -> np.ndarray:
     """Vectorized stable 64-bit hashes.
 

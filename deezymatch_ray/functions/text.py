@@ -184,12 +184,6 @@ def qgram_keys_table(
     return out
 
 
-def whitespace_token_count(texts: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Number of single-space-separated tokens per string (vectorized)."""
-    n_spaces = pc.count_substring(texts, " ")
-    return pc.add(n_spaces, 1)
-
-
 def encode_strings(
     strs: Sequence[str | None],
     tok2index: dict[str, int],

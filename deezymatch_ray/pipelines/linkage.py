@@ -21,6 +21,7 @@ import ray.data
 
 from deezymatch_ray.config import DEFAULT_CONFIG, EngineConfig
 from deezymatch_ray.data.synth import make_labeled_pairs
+from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
 from deezymatch_ray.functions.text import encode_strings, normalize_string
 from deezymatch_ray.model.chargru import init_weights, load_weights, save_weights
 from deezymatch_ray.model.train import SiameseTrainer, fit
@@ -34,7 +35,8 @@ from deezymatch_ray.stages.clustering import (
 from deezymatch_ray.stages.ranking import (
     _KeyAndCarry,
     blocked_pairs,
-    dedup_pairs,
+    dedup_pairs,  # unused here: perfbench's link trace wraps linkage.dedup_pairs
+    distinct_pairs,
     prepare_side,
 )
 
@@ -312,7 +314,11 @@ def _cluster(
     path re-runs the caller's pipeline. The driver path reads the id
     column of ``nodes`` in place and returns a materialized result, so
     it starts no Ray execution on a driver-side edge table; the
-    distributed path projects the id column lazily."""
+    distributed path projects the id column lazily.
+
+    Edges may repeat (link dedups pairs per walk call, not globally):
+    union-find and min-label propagation give the same partition
+    whatever an edge's multiplicity."""
     local = isinstance(edges, pa.Table)
     edges = edges if local else edges.materialize()
     if distributed is None:
@@ -334,6 +340,16 @@ def _cluster(
         "doc_id": pa.array([k for k, _ in items], type=ids.type),
         "cluster_id": pa.array([v for _, v in items], type=ids.type),
     })).materialize()
+
+
+def classical_gate(q: list[str], c: list[str], jw_gate: float, lev_gate: int) -> np.ndarray:
+    """Per pair: Jaro-Winkler ≥ ``jw_gate`` or Levenshtein ≤
+    ``lev_gate`` — link's classical agreement check on an edge.
+    Levenshtein runs only on the pairs Jaro-Winkler rejects."""
+    ok = jaro_winkler_batch(q, c) >= jw_gate
+    rest = np.flatnonzero(~ok)
+    ok[rest] = levenshtein_batch([q[i] for i in rest], [c[i] for i in rest]) <= lev_gate
+    return ok
 
 
 def link_documents(
@@ -358,13 +374,14 @@ def link_documents(
 
     The GRU runs once per doc: the blocked walk scores pairs with the
     siamese head on the docs' pooled legs; the classical metrics run on
-    the pairs over the confidence threshold only.
+    the distinct pairs over the confidence threshold only, in the walk's
+    own bucket call. There is no global pair-dedup shuffle: connected
+    components do not change when an edge repeats.
     """
     import dataclasses
 
     import pyarrow.compute as pc
 
-    from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
     from deezymatch_ray.stages.scoring import _ModelStage
 
     cfg = cfg or DEFAULT_CONFIG
@@ -406,18 +423,19 @@ def link_documents(
     prepared = prepared.materialize()
     pairs = blocked_pairs(prepared, cfg, self_join=True, key=_KeyAndCarry(cfg),
                           head=_ModelStage(weights_ref, vocab_ref, meta))
-    # D1 pair dedup (SURVEY §2.7): a pair sharing k block keys is emitted
-    # k times with equal distances and scores
-    pairs = dedup_pairs(pairs, cfg.execution.shuffle_partitions)
 
-    def to_edges(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater_equal(batch["pred_score"], conf_thr))
-        q, c = t["query"].to_pylist(), t["candidate"].to_pylist()
-        agree = (jaro_winkler_batch(q, c) >= jw_gate) | (levenshtein_batch(q, c) <= lev_gate)
-        t = t.filter(pa.array(agree))
+    def to_edges(t: pa.Table) -> pa.Table:
+        # fused into the walk's bucket call, so ``t`` holds one sort
+        # range's pairs. A pair's copies are bit-equal and self-join
+        # pairs come lower id first, so one row per (query_id,
+        # candidate_id) is exact; copies from other ranges reach
+        # ``_cluster`` as repeated edges.
+        t = distinct_pairs(t.filter(pc.greater_equal(t["pred_score"], conf_thr)))
+        t = t.filter(pa.array(classical_gate(t["query"].to_pylist(), t["candidate"].to_pylist(),
+                                             jw_gate, lev_gate)))
         return pa.table({"src": t["query_id"], "dst": t["candidate_id"]})
 
     return _cluster(
-        pairs.map_batches(to_edges, batch_format="pyarrow"), prepared, "id", distributed_cc,
-        cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
+        pairs.map_batches(to_edges, batch_format="pyarrow", batch_size=None), prepared, "id",
+        distributed_cc, cfg.execution.cluster_driver_edge_limit, cfg.execution.cluster_max_rounds,
     )

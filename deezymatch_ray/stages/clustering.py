@@ -363,24 +363,3 @@ def connected_components_distributed(
             Min("cluster_id", alias_name="cluster_id")
         )
     return out
-
-
-def edges_from_ranked(
-    ranked: ray.data.Dataset,
-    score_col: str = "faiss_dist",
-    threshold: float | None = None,
-    ascending: bool = True,
-) -> ray.data.Dataset:
-    """Project a ranked/scored pair table to (src, dst) edges."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        t = batch
-        if threshold is not None:
-            import pyarrow.compute as pc
-
-            m = (pc.less_equal(t[score_col], threshold) if ascending
-                 else pc.greater_equal(t[score_col], threshold))
-            t = t.filter(m)
-        return pa.table({"src": t["query_id"], "dst": t["candidate_id"]})
-
-    return ranked.map_batches(fn, batch_format="pyarrow")

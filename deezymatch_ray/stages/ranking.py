@@ -234,17 +234,25 @@ def select_bucket(t: pa.Table, *, cfg: EngineConfig, group=("query_id",)) -> pa.
     return t.select([c for c in RANK_SCHEMA_COLS if c in t.column_names])
 
 
-def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
-    """Drop duplicate (query_id, candidate_id) rows — the D1 pattern
-    (SURVEY §2.7): hash-bucket the pair key, then one vectorized Arrow
-    pass per ``bucket_map`` call. A pair shared by k blocks arrives k
-    times with equal distances (``pair_dist`` depends on the two vectors
-    only), so any copy is kept."""
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("query_id", "ascending"), ("candidate_id", "ascending")])
-        return t.filter(pa.array(run_starts(t, ["query_id", "candidate_id"])))
+def distinct_pairs(t: pa.Table) -> pa.Table:
+    """One row per (query_id, candidate_id) of ``t``, sorted by that
+    key: the first row of each run. Exact when a pair's copies are
+    bit-equal, as ``score_block_bucket``'s are (a pair shared by k
+    blocks arrives k times with equal distances and scores: each
+    depends on the two rows' vectors only)."""
+    t = t.sort_by([("query_id", "ascending"), ("candidate_id", "ascending")])
+    return t.filter(pa.array(run_starts(t, ["query_id", "candidate_id"])))
 
-    return bucket_map(ds, ["query_id", "candidate_id"], fn, num_buckets)
+
+def dedup_pairs(ds: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
+    """Drop duplicate (query_id, candidate_id) rows across a whole
+    Dataset — the D1 pattern (SURVEY §2.7): hash-bucket the pair key,
+    then one ``distinct_pairs`` pass per ``bucket_map`` call. No
+    pipeline runs this shuffle: link drops the copies each walk call
+    emits in its edge step (connected components ignore the copies that
+    fall in different calls), and ``rank_pairs`` collapses them per
+    query. Tests build the globally deduplicated reference with it."""
+    return bucket_map(ds, ["query_id", "candidate_id"], distinct_pairs, num_buckets)
 
 
 def rank_blocked(

@@ -165,38 +165,6 @@ def _partition_stats(
     }
 
 
-def partition_fingerprint(
-    ds: ray.data.Dataset, key_col: str, content_cols: list[str] | None = None
-) -> tuple[str, int]:
-    """(fingerprint, rows): order-independent commutative sum of per-row
-    content hashes, computed distributed (one tiny aggregate — no rows
-    reach the driver)."""
-    schema = ds.schema()
-    cols = content_cols or default_content_columns(
-        pa.schema([pa.field(n, t) for n, t in zip(schema.names, schema.types)]),
-        key_col,
-    )
-
-    def fn(batch: pa.Table) -> pa.Table:
-        h = _hash_columns(batch, cols)
-        with np.errstate(over="ignore"):
-            s = np.uint64(h.sum(dtype=np.uint64))
-        return pa.table({
-            "h": pa.array([int(s.view(np.int64))], type=pa.int64()),
-            "n": pa.array([len(h)], type=pa.int64()),
-        })
-
-    parts = ds.map_batches(fn, batch_format="pyarrow").take_all()
-    rows = sum(r["n"] for r in parts)
-    if rows == 0:
-        return "empty", 0
-    with np.errstate(over="ignore"):
-        total = np.uint64(0)
-        for p in parts:
-            total = total + np.int64(p["h"]).view(np.uint64)
-    return f"{int(total):016x}-{rows}", int(rows)
-
-
 def run_stage(
     ds: ray.data.Dataset,
     stage_fn: Callable[[ray.data.Dataset], ray.data.Dataset],

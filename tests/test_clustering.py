@@ -195,6 +195,29 @@ def test_link_distributed_path_matches_driver_path():
     assert len({c for _, c in got[0]}) < 60
 
 
+
+@pytest.mark.parametrize("distributed", [False, True], ids=["driver", "distributed"])
+def test_cluster_ignores_duplicate_edges(distributed):
+    """``_cluster`` given every edge twice (as a driver-side table) or
+    three times (as a Dataset), in shuffled order, returns the partition
+    of the deduplicated edges: link's edge step leaves the copies of a
+    pair that fall in different walk calls."""
+    from deezymatch_ray.pipelines.linkage import _cluster
+
+    rng = np.random.default_rng(11)
+    ids = [f"n{i:03d}" for i in range(60)]
+    pairs = sorted({tuple(sorted(rng.choice(ids, 2, replace=False))) for _ in range(45)})
+    nodes = ray.data.from_arrow(pa.table({"id": ids})).materialize()
+    want = sorted(connected_components_driver(pairs, ids).items())
+    assert len({c for _, c in want}) < len(ids)  # some nodes linked
+    for k, as_table in ((2, True), (3, False)):
+        rep = [pairs[i] for i in rng.permutation(np.repeat(np.arange(len(pairs)), k))]
+        t = pa.table({"src": [a for a, _ in rep], "dst": [b for _, b in rep]})
+        got = _cluster(t if as_table else ray.data.from_arrow(t), nodes, "id",
+                       distributed, 10_000, 30)
+        assert _clusters(got) == want, (k, as_table)
+
+
 def test_non_convergence_raises_instead_of_splitting():
     n = 64
     ids = [f"c{i:04d}" for i in range(n)]

@@ -1,5 +1,6 @@
-"""The GRU runs once per string: link over documents, and the global
-ranking plan with predictions on."""
+"""Link over documents: the GRU runs once per string (also in the global
+ranking plan with predictions on), the block walk is link's one
+shuffle, and the edge gate."""
 
 from __future__ import annotations
 
@@ -8,6 +9,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+# surrogates excluded (not encodable)
+TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16)
 
 # a fresh one-CPU Ray session in which every worker process (and the
 # driver) writes one marker file per ``CharGRU.encode`` call, holding
@@ -126,3 +133,81 @@ def test_rank_global_runs_the_gru_once_per_string(tmp_path):
     assert not m["pred_score_g"].isna().any()
     np.testing.assert_array_equal(m["pred_score_g"].to_numpy().view(np.uint32),
                                   m["pred_score_o"].to_numpy().view(np.uint32))
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_link_runs_one_bucket_map_and_matches_global_dedup(monkeypatch, seed):
+    """Link's only shuffle is the block walk (one ``bucket_map`` call):
+    its edge step runs inside the walk's bucket call. Its partition
+    equals the one built from the walk's pairs through the global
+    ``dedup_pairs`` shuffle, the full classical gate and driver
+    union-find. The test session has 4 CPUs, so the walk has 4 sort
+    ranges and copies of a pair in different ranges reach clustering."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    from deezymatch_ray.data.synth import make_documents
+    from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
+    from deezymatch_ray.pipelines import linkage
+    from deezymatch_ray.stages import blocking, ranking
+    from deezymatch_ray.stages.clustering import connected_components_driver
+
+    calls, seen = [], {}
+    for mod in (blocking, ranking):
+        def counted(*a, _fn=mod.bucket_map, **kw):
+            calls.append(a[1])
+            return _fn(*a, **kw)
+        monkeypatch.setattr(mod, "bucket_map", counted)
+
+    walk_, cluster_ = linkage.blocked_pairs, linkage._cluster
+
+    def walk(*a, **kw):
+        seen["walk"] = (a, kw)
+        return walk_(*a, **kw)
+
+    def cluster(edges, *a):
+        seen["edges"] = linkage._read(edges.materialize(), ["src", "dst"])
+        return cluster_(edges, *a)
+
+    monkeypatch.setattr(linkage, "blocked_pairs", walk)
+    monkeypatch.setattr(linkage, "_cluster", cluster)
+    docs, _ = make_documents(300, seed=seed)
+    got = linkage.link_documents(ray.data.from_arrow(docs)).to_pandas()
+    assert calls == [["block_key"]]
+    monkeypatch.undo()
+
+    a, kw = seen["walk"]
+    t = linkage._read(ranking.dedup_pairs(walk_(*a, **kw)).materialize(),
+                      ["query_id", "query", "candidate_id", "candidate", "pred_score"])
+    meta = linkage.load_model_artifacts(linkage.get_or_train_default_model())[2]
+    t = t.filter(pc.greater_equal(t["pred_score"], meta.get("suggested_conf_threshold", 0.95)))
+    q, c = t["query"].to_pylist(), t["candidate"].to_pylist()
+    agree = ((jaro_winkler_batch(q, c) >= meta.get("edge_jw_gate", 0.75))
+             | (levenshtein_batch(q, c) <= meta.get("edge_lev_gate", 2)))
+    t = t.filter(pa.array(agree))
+    edges = list(zip(t["query_id"].to_pylist(), t["candidate_id"].to_pylist()))
+    ids = linkage._read(a[0], ["id"])["id"].to_pylist()
+    assert sorted(got.itertuples(index=False, name=None)) == sorted(
+        connected_components_driver(edges, ids).items())
+
+    e = seen["edges"]
+    rows = list(zip(e["src"].to_pylist(), e["dst"].to_pylist()))
+    assert set(rows) == set(edges)
+    assert len(rows) > len(edges)  # cross-range copies were exercised
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(TEXT, TEXT), max_size=12), lev_gate=st.integers(0, 6),
+       jw_gate=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1.0, 2.0])))
+def test_classical_gate_equals_the_full_or(pairs, jw_gate, lev_gate):
+    """The gate equals both metrics over every pair, OR-ed, with
+    Levenshtein run only on the pairs Jaro-Winkler rejects: on empty
+    and non-ASCII strings, and when every (-1) or no (2) pair passes
+    Jaro-Winkler."""
+    from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
+    from deezymatch_ray.pipelines.linkage import classical_gate
+
+    q, c = [a for a, _ in pairs], [b for _, b in pairs]
+    want = (jaro_winkler_batch(q, c) >= jw_gate) | (levenshtein_batch(q, c) <= lev_gate)
+    np.testing.assert_array_equal(classical_gate(q, c, jw_gate, lev_gate), want)
