@@ -8,7 +8,7 @@ and hashes values). Inputs are the driver's parquet tables
 
 These exercise the engine surface end-to-end: stateless map_batches
 kernels (normalize, stats, fingerprints), flat_map + groupby shuffles
-(token counts, shingle blocks), partial-aggregate combiners, hash
+(token counts, shingle blocks), partial-aggregate combiners, co-group
 joins, per-group top-k, dedup families, and brute-force/IVF similarity
 search.
 """
@@ -22,12 +22,21 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from deezymatch_ray.config import DEFAULT_CONFIG
 from deezymatch_ray.functions.similarity import jaro_winkler_batch, levenshtein_batch
 from deezymatch_ray.stages import ann, dedup, textstats
+from deezymatch_ray.stages.blocking import cogroup, inner_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def _join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
+          right_on: str) -> ray.data.Dataset:
+    """Inner join on ``on`` = ``right_on`` through ``blocking.cogroup``."""
+    return cogroup(left, right, [on], inner_join([on], [right_on]),
+                   DEFAULT_CONFIG.execution.shuffle_partitions, right_on=[right_on])
 
 
 def _round_col(col, ndigits: int) -> pa.Array:
@@ -352,16 +361,13 @@ def q_pricing_summary(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_top_customers(sf_dir: str) -> pd.DataFrame:
-    """Hash join + aggregate + global top-k (sort + limit)."""
+    """Join + aggregate + global top-k (sort + limit)."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_mktsegment"])
     spend = orders.groupby("o_custkey").aggregate(
         Sum("o_totalprice", alias_name="total_spend"), Count(alias_name="n_orders")
-    )
-    joined = spend.join(
-        cust, join_type="inner", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    ).materialize()  # the co-group reads its schema
+    joined = _join(spend, cust, "o_custkey", "c_custkey")
     top = joined.sort(["total_spend", "o_custkey"], descending=[True, False]).limit(10)
     df = top.to_pandas()
     df["total_spend"] = [round(float(v), 2) for v in df["total_spend"]]
@@ -554,19 +560,13 @@ def q_media_resize(sf_dir: str) -> ray.data.Dataset:
 def q_nation_balance(sf_dir: str) -> ray.data.Dataset:
     """Two-table join + mean aggregate (broadcast-small-side shape)."""
     sup = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).map_batches(
-        # groupby promotes the left key to int64; align the right key
-        lambda b: pa.table({"n_nationkey": pc.cast(b["n_nationkey"], pa.int64()),
-                            "n_name": b["n_name"]}),
-        batch_format="pyarrow",
-    )
+    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
     agg = sup.groupby("s_nationkey").aggregate(
         Mean("s_acctbal", alias_name="avg_bal"), Count(alias_name="n_suppliers")
-    )
-    joined = agg.join(
-        nat, join_type="inner", num_partitions=4,
-        on=("s_nationkey",), right_on=("n_nationkey",),
-    )
+    ).materialize()  # the co-group reads its schema
+    # groupby promotes the left key to int64; the co-group casts the
+    # right key to it
+    joined = _join(agg, nat, "s_nationkey", "n_nationkey")
 
     def final(batch: pa.Table) -> pa.Table:
         return pa.table({

@@ -27,10 +27,10 @@ from deezymatch_ray.model.chargru import init_weights, load_weights, save_weight
 from deezymatch_ray.model.train import SiameseTrainer, fit
 from deezymatch_ray.model.vocab import build_vocab_local, load_vocab, save_vocab
 from deezymatch_ray.sources.spans import add_join_text
+from deezymatch_ray.stages.blocking import cogroup, inner_join
 from deezymatch_ray.stages.clustering import (
     connected_components_distributed,
     connected_components_driver,
-    join_width,
 )
 from deezymatch_ray.stages.ranking import (
     _KeyAndCarry,
@@ -51,7 +51,7 @@ DEFAULT_MODEL_DIR = (
 )
 
 # near-dup candidate sets up to this many pairs are verified on the
-# driver; larger ones hash-join the shingle-hash blobs back by id
+# driver; larger ones co-group the shingle-hash blobs with the pairs
 DRIVER_VERIFY_LIMIT = 500_000
 
 
@@ -198,7 +198,7 @@ def cluster_near_dup_documents(
     doc in a candidate pair. Up to ``DRIVER_VERIFY_LIMIT`` candidates
     are verified on the driver (~5 µs a pair), which reads only the blob
     rows once the node count is over ``driver_edge_limit``; more
-    hash-join every doc's blob back by id. The driver CC path returns a
+    co-group every doc's blob with the pairs by id, once per end. The driver CC path returns a
     materialized result."""
     from deezymatch_ray.stages.dedup import (
         _pack16,
@@ -228,7 +228,7 @@ def cluster_near_dup_documents(
         return denom > 0 and inter / denom >= jaccard_threshold
 
     def _edges(t: pa.Table, blobs_a: list, blobs_b: list) -> pa.Table:
-        """THE accept step of both verify paths (driver and join): the
+        """THE accept step of both verify paths (driver and co-group): the
         (doc_a, doc_b) rows of ``t`` whose docs' packed hashes pass."""
         keep = pa.array([_jaccard_ok(np.frombuffer(x or b"", dtype="S16"),
                                      np.frombuffer(y or b"", dtype="S16"))
@@ -240,7 +240,7 @@ def cluster_near_dup_documents(
         inv_ref = ray.put(set(pairs["doc_a"].to_pylist())
                           | set(pairs["doc_b"].to_pylist()))
     else:
-        inv_ref = None  # the join needs every doc's blob
+        inv_ref = None  # the co-groups need every doc's blob
 
     def doc_pass(batch: pa.Table) -> pa.Table:
         ids = batch[id_col]
@@ -264,22 +264,21 @@ def cluster_near_dup_documents(
         edges = _edges(pairs, [blob[a] for a in pairs["doc_a"].to_pylist()],
                        [blob[b] for b in pairs["doc_b"].to_pylist()])
     else:
-        # large candidate set: hash-join the (much smaller than text)
-        # shingle-hash blobs back by id — the scale path
-        width = join_width(n_cand, 16)
-        j1 = cand.join(nodes, join_type="inner", num_partitions=width,
-                       on=("doc_a",), right_on=(id_col,))
-        # explicit projection between joins: leftover right-side columns
-        # make the second join's key reference ambiguous
-        j1 = j1.map_batches(
-            lambda b: pa.table({"doc_a": b["doc_a"], "doc_b": b["doc_b"],
-                                "blob_a": b["sh_blob"]}),
-            batch_format="pyarrow",
-        )
-        j2 = j1.join(nodes, join_type="inner", num_partitions=width,
-                     on=("doc_b",), right_on=(id_col,))
-        edges = j2.map_batches(
-            lambda b: _edges(b, b["blob_a"].to_pylist(), b["sh_blob"].to_pylist()),
+        # large candidate set: co-group the (much smaller than text)
+        # shingle-hash blobs with the pairs by id, once per end — the
+        # scale path
+        def attach(end: str, blob: str):
+            def fn(c: pa.Table, n: pa.Table) -> pa.Table:
+                return inner_join([end])(c, n.rename_columns([end, blob]))
+
+            return fn
+
+        nb = DEFAULT_CONFIG.execution.shuffle_partitions
+        blob_a = cogroup(cand, nodes, ["doc_a"],
+                         attach("doc_a", "blob_a"), nb, right_on=[id_col]).materialize()
+        edges = cogroup(blob_a, nodes, ["doc_b"], attach("doc_b", "blob_b"), nb,
+                        right_on=[id_col]).map_batches(
+            lambda b: _edges(b, b["blob_a"].to_pylist(), b["blob_b"].to_pylist()),
             batch_format="pyarrow")
     return _cluster(edges, nodes, id_col, distributed_cc, driver_edge_limit,
                     DEFAULT_CONFIG.execution.cluster_max_rounds)

@@ -29,6 +29,16 @@ gathered, with Arrow ``take``. Its users: ranking's ``blocked_pairs``
 ``jaccard_near_dup``, both MinHash plans, ``simhash_near_dup`` and
 ``embedding_near_dup_lsh``.
 
+Two keyed sides meet in one way, ``cogroup``: both sides tagged and
+null-padded to one schema, one ``bucket_map`` on the key, and one
+``fn(left_slice, right_slice)`` call per range of buckets. Its inner
+join (``inner_join``, pyarrow's ``Table.join``) serves every library
+join: clustering's label lookups, near_dup's scale verify, Jaccard's
+stats attach, the driver queries' joins; the as-of join and the
+incremental exact dedup's anti join bring their own ``fn``. Ray's
+``Dataset.join`` is not used: it stalls on a one-CPU cluster and fails
+on empty partitions.
+
 All batch fns are Arrow-vectorized; `derive_block_keys` is a flat_map
 implemented as `map_batches` returning more rows than in (the idiomatic
 vectorized explode).
@@ -318,6 +328,12 @@ def walk_segments(t: pa.Table, key_col: str, kernel, oversize=None,
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
+def bucket_ranges(num_buckets: int) -> int:
+    """How many ranges ``bucket_map`` cuts ``[0, num_buckets)`` into:
+    min(num_buckets, cluster CPUs), one reduce task each."""
+    return min(num_buckets, int(ray.cluster_resources().get("CPU", 1)) or 1)
+
+
 def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
                num_buckets: int) -> ray.data.Dataset:
     """``fn`` over whole hash buckets of ``key_cols``: ``bucketize``, one
@@ -335,7 +351,7 @@ def bucket_map(ds: ray.data.Dataset, key_cols: list[str], fn,
     ``[0]`` with an empty lower range: empty ranges never reach ``fn``,
     and a schema-less empty block ahead of the data draws no Ray
     schema warning (one behind it would)."""
-    w = min(num_buckets, int(ray.cluster_resources().get("CPU", 1)) or 1)
+    w = bucket_ranges(num_buckets)
     bounds = [num_buckets * i // w for i in range(1, w)] or [0]
     return bucketize(ds, key_cols, num_buckets).sort(
         "__bucket", boundaries=bounds).map_batches(
@@ -363,3 +379,73 @@ def segment_pairs(keyed: ray.data.Dataset, num_buckets: int, *,
         return pa.table(out)
 
     return bucket_map(keyed, [walk["key_col"]], pairs, num_buckets)
+
+
+def cogroup(left: ray.data.Dataset, right: ray.data.Dataset, on, fn,
+            num_buckets: int, right_on=None) -> ray.data.Dataset:
+    """``fn(left_slice, right_slice)`` over whole hash buckets of the key
+    ``on`` (``right_on`` on the right side): the one two-sided keyed
+    exchange, for joins, anti joins and as-of lookups alike. Each side
+    is tagged and null-padded to one union schema, its keys cast to the
+    left key types so equal keys share a bucket, and one ``bucket_map``
+    runs over the union. Per non-empty range of buckets, ``fn`` gets
+    each side's rows under that side's own column names and types (an
+    empty table when the range holds none) and returns one table.
+
+    The padding needs both schemas on the driver: free on a
+    materialized Dataset, one ``limit(1)`` execution on a lazy one, so
+    a caller materializes a side whose plan is expensive to start."""
+    on, right_on = list(on), list(right_on or on)
+    sides = [(pa.schema(list(zip(s.names, s.types))), ks, f"__{c}:")
+             for s, ks, c in ((left.schema(), on, "l"), (right.schema(), right_on, "r"))]
+    keys = [f"__k{i}" for i in range(len(on))]
+    key_types = [sides[0][0].field(k).type for k in on]
+    payload = [(pre + f.name, f.type) for sch, ks, pre in sides for f in sch if f.name not in ks]
+    union = pa.schema(list(zip(keys, key_types)) + [("__side", pa.int8())] + payload)
+
+    def tag(side: int):
+        _, ks, pre = sides[side]
+
+        def pad(b: pa.Table) -> pa.Table:
+            n = b.num_rows
+            if not n:  # an empty block may arrive schema-less
+                return union.empty_table()
+            return pa.Table.from_arrays(
+                [b[k].cast(typ) for k, typ in zip(ks, key_types)]
+                + [pa.array(np.full(n, side, dtype=np.int8))]
+                + [b[name[len(pre):]] if name.startswith(pre) else pa.nulls(n, typ)
+                   for name, typ in payload], schema=union)
+
+        return pad
+
+    def call(t: pa.Table) -> pa.Table:
+        is_left = pc.equal(t["__side"], 0)
+        slices = []
+        for (sch, ks, pre), mask in zip(sides, (is_left, pc.invert(is_left))):
+            part = t.select([keys[ks.index(f.name)] if f.name in ks else pre + f.name
+                             for f in sch]).filter(mask)
+            slices.append(pa.Table.from_arrays(
+                [c.cast(f.type) for c, f in zip(part.columns, sch)], schema=sch))
+        return fn(*slices)
+
+    return bucket_map(
+        left.map_batches(tag(0), batch_format="pyarrow").union(
+            right.map_batches(tag(1), batch_format="pyarrow")),
+        keys, call, num_buckets)
+
+
+def inner_join(on, right_on=None):
+    """``cogroup``'s inner-join fn, and a broadcast join's kernel:
+    pyarrow ``Table.join`` of a left and a right table, as in Ray's hash
+    join (null keys match nothing, duplicate keys give every matching
+    pair, the right key columns are dropped), with the right keys cast
+    to the left key types first."""
+    on, right_on = list(on), list(right_on or on)
+
+    def fn(left: pa.Table, right: pa.Table) -> pa.Table:
+        for a, b in zip(on, right_on):
+            right = right.set_column(right.schema.get_field_index(b), b,
+                                     right[b].cast(left.schema.field(a).type))
+        return pa.Table.join(left, right, keys=on, right_keys=right_on, join_type="inner")
+
+    return fn

@@ -11,12 +11,13 @@ Physical plans:
   not documents, bound memory — after thresholding the edge set is
   orders of magnitude smaller than the input).
 - ``connected_components_distributed``: iterative min-label propagation
-  with pointer doubling — each round joins labels to edges, takes
-  per-node minima, then follows label→label(label) (hash-partitioned
-  ``Dataset.join`` + ``groupby().min``), converging in O(log component
-  diameter) rounds with a fixpoint check per round; a non-converged
-  exit raises instead of returning silently split clusters. Both plans
-  are cross-checked for equality in tests.
+  with pointer doubling — each round pushes labels along edges, takes
+  per-node minima, then follows label→label(label); both lookups are
+  ``blocking.cogroup`` inner joins (the library's one two-sided keyed
+  exchange) and the minima ``groupby().min``. It converges in
+  O(log component diameter) rounds with a fixpoint check per round; a
+  non-converged exit raises instead of returning silently split
+  clusters. Both plans are cross-checked for equality in tests.
 
 Duplicate edges (the same pair surfacing from several shared blocking
 keys) are harmless to both plans — no upstream pair-dedup shuffle is
@@ -26,10 +27,11 @@ needed for clustering (SURVEY §7.3 note).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Min
+
+from deezymatch_ray.stages.blocking import bucket_ranges, cogroup, inner_join
 
 
 def connected_components_driver(edges: list[tuple[str, str]], nodes: list[str] | None = None) -> dict[str, str]:
@@ -68,19 +70,6 @@ def connected_components_driver(edges: list[tuple[str, str]], nodes: list[str] |
     return out
 
 
-def join_width(n_rows: int, cap: int) -> int:
-    """Partitions of a ``Dataset.join`` over ~``n_rows`` rows. Ray's
-    hash join misbehaves when partitions receive (near-)zero rows —
-    Acero rejects the column-less empty tables ("No match or multiple
-    matches for key field") and joins wider than the cluster's CPUs
-    stall aggregator scheduling — so partitions get ≥~4k expected rows
-    each, at most ``cap`` and the cluster CPUs (verified: a 1-edge graph
-    fails at 4+ partitions and hangs at 32 on a 4-CPU cluster, as a
-    2-candidate near-dup join did at 16)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) or 8
-    return max(1, min(cap, cpus, -(-n_rows // 4096)))
-
-
 def _hot_keys(ds: ray.data.Dataset, key_col: str, threshold: int) -> dict:
     """{key: row_count} for keys with ≥ ``threshold`` rows. The census
     groupby shuffles (key, count) partials, and the collect is bounded
@@ -111,7 +100,7 @@ def _hot_mask(col, hot: set) -> np.ndarray:
 def _salt_fact(ds: ray.data.Dataset, key_col: str, hot: set, R: int,
                col: str = "__salt") -> ray.data.Dataset:
     """Round-robin salt on hot-key rows (cold rows salt 0): spreads a
-    skewed join key across R hash partitions."""
+    skewed co-group key over R salted keys."""
 
     def fn(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -187,16 +176,18 @@ def connected_components_distributed(
     - the per-node min groupbys run behind a block-local pyarrow
       combiner (``_partial_min``), so a hub node's reduce partition
       receives #blocks rows, not its degree;
-    - both joins (edge⋈label on node; the pointer-doubling label →
+    - both co-groups (edge⋈label on node; the pointer-doubling label →
       label(label) lookup, whose key distribution collapses onto one
       label per component as rounds converge) are SALTED: a
       combiner-safe census (``_hot_keys``) finds keys with ≥
       ``hot_key_threshold`` rows, the skewed side gets round-robin
-      salts, the unique side is replicated R=P ways — per-partition
-      rows are bounded by total/P + max_hot/P instead of the giant
-      component's size. The node census runs once (degree is static);
-      the label census runs per round on the already-materialized
-      label table and ships only (label, count) partials.
+      salts, the unique side is replicated R ways, R being the
+      co-group's range count (``blocking.bucket_ranges``), and the key
+      becomes (key, salt) — a hot key's rows spread over the ranges
+      instead of landing in one call. The node census runs once
+      (degree is static; the edges are salted once); the label census
+      runs per round on the already-materialized label table and ships
+      only (label, count) partials.
 
     ``stats`` (optional dict) receives {"hot_nodes": int,
     "hot_label_rounds": int, "max_hot_label_count": int} for tests and
@@ -233,22 +224,29 @@ def connected_components_distributed(
     directed = directed.materialize()
 
     n_lab = labels.count()
-    P = join_width(n_lab, num_partitions)
+    P = bucket_ranges(num_partitions)
 
-    # static degree census: hub nodes (degree ≥ threshold) get their
-    # edge⋈label join salted every round. Salting needs ≥2 partitions
-    # to spread anything; a graph with fewer total rows than the
+    # static degree census: hub nodes (degree ≥ threshold) are salted
+    # once on the edge side of every round's push. Salting needs ≥2
+    # ranges to spread anything; a graph with fewer total rows than the
     # threshold can't have a hot key, so small graphs skip the census
     # aggregates entirely.
     n_directed = directed.count()  # metadata-free: materialized above
     hot_nodes: set = set()
     if P > 1 and n_directed >= hot_key_threshold:
         hot_nodes = set(_hot_keys(directed, "node", hot_key_threshold))
+        directed = _salt_fact(directed, "node", hot_nodes, P).materialize()
     if stats is not None:
         stats["hot_nodes"] = len(hot_nodes)
         stats["hot_label_rounds"] = 0
         stats["max_hot_label_count"] = 0
         stats["salt_width"] = P
+    push_on = ("node", "__salt") if hot_nodes else ("node",)
+
+    def push(d: pa.Table, lab: pa.Table) -> pa.Table:
+        j = inner_join(push_on)(d, lab)
+        return pa.table({"node": j["nbr"], "cand": j["label"],
+                         "old": pa.nulls(j.num_rows, j["label"].type)})
 
     changed = 0
     converged = n_lab == 0  # no edges → no labels to propagate
@@ -256,26 +254,11 @@ def connected_components_distributed(
         # push each node's label to its neighbors, take per-node min;
         # each node's OLD label rides along (non-null only on the self
         # row, exactly one per node) so the fixpoint check needs no
-        # third join — Min(old) recovers it through the aggregation
-        if hot_nodes:
-            joined = _salt_fact(directed, "node", hot_nodes, P).join(
-                _salt_dim(labels, "node", hot_nodes, P),
-                join_type="inner", num_partitions=P,
-                on=("node", "__salt"),
-            ).drop_columns(["__salt"])
-        else:
-            joined = directed.join(
-                labels, join_type="inner", num_partitions=P, on=("node",),
-            )
-
-        def msg(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch["nbr"],
-                "cand": batch["label"],
-                "old": pa.nulls(batch.num_rows, batch["label"].type),
-            })
-
-        cands = joined.map_batches(msg, batch_format="pyarrow").union(
+        # third exchange — Min(old) recovers it through the aggregation
+        cands = cogroup(
+            directed, _salt_dim(labels, "node", hot_nodes, P) if hot_nodes else labels,
+            push_on, push, num_partitions,
+        ).union(
             labels.map_batches(
                 lambda b: pa.table({"node": b["node"], "cand": b["label"],
                                     "old": b["label"]}),
@@ -289,18 +272,14 @@ def connected_components_distributed(
                 Min("cand", alias_name="label"),
                 Min("old", alias_name="old"),
             )
-        ).materialize()  # consumed twice below (relabel + join left side)
+        ).materialize()  # both sides of the doubling co-group
         # pointer doubling: follow label → label(label) (labels are node
         # ids, so every label resolves). Each round halves the remaining
         # chain to the component minimum — convergence in O(log diameter)
-        # rounds instead of O(diameter)
-        relabel = agg.map_batches(
-            lambda b: pa.table({"lnode": b["node"], "llabel": b["label"]}),
-            batch_format="pyarrow",
-        )
-        # the doubling join's key is the LABEL, whose distribution
-        # collapses onto one value per component — census per round,
-        # salt when any label crosses the threshold
+        # rounds instead of O(diameter).
+        # The doubling key is the LABEL, whose distribution collapses
+        # onto one value per component — census per round, salt when
+        # any label crosses the threshold
         hot_labels: set = set()
         if P > 1 and n_lab >= hot_key_threshold:
             hl = _hot_keys(agg, "label", hot_key_threshold)
@@ -310,33 +289,39 @@ def connected_components_distributed(
                 stats["max_hot_label_count"] = max(
                     stats["max_hot_label_count"], max(hl.values())
                 )
+        on, right_on = ("label",), ("node",)
+        lhs, rhs = agg, agg
         if hot_labels:
-            doubled = _salt_fact(agg, "label", hot_labels, P).join(
-                _salt_dim(relabel, "lnode", hot_labels, P),
-                join_type="inner", num_partitions=P,
-                on=("label", "__salt"), right_on=("lnode", "__salt"),
-            ).drop_columns(["__salt"]).materialize()
-        else:
-            doubled = agg.join(
-                relabel, join_type="inner", num_partitions=P,
-                on=("label",), right_on=("lnode",),
-            ).materialize()
+            on, right_on = on + ("__salt",), right_on + ("__salt",)
+            lhs = _salt_fact(agg, "label", hot_labels, P)
+            rhs = _salt_dim(agg, "node", hot_labels, P)
+
+        def follow(a: pa.Table, lab: pa.Table) -> pa.Table:
+            lab = lab.select(list(right_on) + ["label"]).rename_columns(
+                list(right_on) + ["llabel"])
+            j = inner_join(on, right_on)(a, lab)
+            return pa.table({"node": j["node"], "label": j["llabel"], "old": j["old"]})
+
+        # (node, label(label), old): the next round's labels, with a
+        # fresh stats lineage. Ray summarizes an execution's input stats
+        # recursively without memo; each round reads the last one's
+        # labels twice and its own agg twice, so a chained lineage
+        # costs 4× more per round (8 rounds: ~53k summaries)
+        labels = ray.data.from_arrow_refs(cogroup(
+            lhs, rhs, on, follow, num_partitions, right_on=right_on,
+        ).materialize().to_arrow_refs())
 
         def count_changed(b: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
-            neq = pc.invert(pc.equal(b["llabel"], b["old"]))
+            neq = pc.invert(pc.equal(b["label"], b["old"]))
             return pa.table({"changed": pa.array(
                 [int(pc.sum(neq).as_py() or 0)], type=pa.int64()
             )})
 
-        changed = doubled.map_batches(
+        changed = labels.map_batches(
             count_changed, batch_format="pyarrow"
         ).sum("changed") or 0
-        labels = doubled.map_batches(
-            lambda b: pa.table({"node": b["node"], "label": b["llabel"]}),
-            batch_format="pyarrow",
-        )
         if not changed:
             converged = True
             break

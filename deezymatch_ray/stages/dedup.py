@@ -64,9 +64,9 @@ from deezymatch_ray.stages.ann import lsh_signatures
 from deezymatch_ray.stages.blocking import (
     _np_rows,
     _warn_skipped_group,  # noqa: F401 (the banded plans' skip warning)
-    bucket_map,
-    bucketize,
+    cogroup,
     collect_side,
+    inner_join,
     segment_pairs,
 )
 
@@ -213,10 +213,11 @@ def jaccard_near_dup(
     4. Each candidate pair picks up per-doc stats (|A|, and A's — short
        — hot-shingle subset); |A∩B| = non-hot count + |hotA ∩ hotB|, so
        hot shingles still contribute exactly to every verified pair.
-       Stats attach via broadcast merge while the per-doc stats table is
-       ≤ ``broadcast_stats_limit`` rows (ray.put once, zero shuffles);
-       beyond that, two bucketized reduce-side joins (same shuffle
-       volume as a hash join, robust to empty partitions).
+       Stats attach with one Arrow inner join per pair end: against the
+       per-doc stats table broadcast once (ray.put, zero shuffles) while
+       it is ≤ ``broadcast_stats_limit`` rows, beyond that through one
+       ``blocking.cogroup`` per end. Either way a pair with a null id
+       matches no stats row and is dropped.
 
     The only loss: a pair sharing *exclusively* hot shingles never
     becomes a candidate (finding it would cost O(freq²) on a key with
@@ -283,7 +284,9 @@ def jaccard_near_dup(
         hot_arr = ray.get(hot_ref)
         ids = batch[id_col].to_pylist()
         hs = _unpack_col(batch["sh_blob"].to_pylist())
-        keep = [h[~_hot_member(h, hot_arr)] for h in hs]
+        # a null id pairs with nothing (no stats row matches it either)
+        keep = [h[~_hot_member(h, hot_arr)] if i is not None else h[:0]
+                for i, h in zip(ids, hs)]
         counts = [len(h) for h in keep]
         flat = (np.concatenate([h for h in keep if h.size])
                 if any(counts) else np.array([], dtype="S16"))
@@ -306,92 +309,46 @@ def jaccard_near_dup(
     # --- exact non-hot intersection size per pair ---
     cand = pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="inter_nh"))
 
-    # --- attach per-doc stats: bucketized reduce-side joins.
-    # (Ray's hash-join aggregator builds a COLUMN-LESS empty table for
-    # any partition that receives zero blocks, and Acero then rejects
-    # the key FieldRef — guaranteed on small inputs, possible on skewed
-    # ones. A groupby-union join has identical shuffle volume and is
-    # robust to empty buckets.) ---
+    # --- attach per-doc stats: one Arrow inner join per pair end ---
     sch = docs.schema()
     id_type = dict(zip(sch.names, sch.types))[id_col]
     stats = stats.materialize()  # consumed once per side; don't re-hash docs
 
-    def attach_broadcast(batch: pa.Table) -> pa.Table:
-        """Small-corpus fast path: per-doc stats broadcast once via
-        ray.put, pandas-merged per cand batch — zero extra shuffles."""
-        if batch.num_rows == 0:  # empty buckets arrive schema-less
-            return pa.table({
-                "doc_a": pa.array([], type=id_type),
-                "doc_b": pa.array([], type=id_type),
-                "inter_nh": pa.array([], type=pa.int64()),
-                "n_a": pa.array([], type=pa.int64()),
-                "hot_a": pa.array([], type=pa.binary()),
-                "n_b": pa.array([], type=pa.int64()),
-                "hot_b": pa.array([], type=pa.binary()),
-            })
-        s = ray.get(stats_ref)
-        df = batch.to_pandas()
-        m = df.merge(
-            s.rename(columns={id_col: "doc_a", "n_sh": "n_a", "hot_sh": "hot_a"}),
-            on="doc_a", how="inner",
-        ).merge(
-            s.rename(columns={id_col: "doc_b", "n_sh": "n_b", "hot_sh": "hot_b"}),
-            on="doc_b", how="inner",
-        )
-        return pa.Table.from_pandas(m, preserve_index=False)
+    def attach(end: str):
+        """The kernel of both attach plans: pairs ⋈ stats on ``end``,
+        the stats named n_a/hot_a (or n_b/hot_b)."""
+        def fn(pairs: pa.Table, st: pa.Table) -> pa.Table:
+            return inner_join([end])(pairs, st.rename_columns(
+                [end, "n" + end[3:], "hot" + end[3:]]))
 
-    def attach(pairs_ds, key: str, n_out: str, hot_out: str, carry: dict):
-        def tag_pairs(batch: pa.Table) -> pa.Table:
-            cols = {"__k": batch[key].cast(id_type)}
-            for name, typ in carry.items():
-                cols[name] = batch[name].cast(typ)
-            cols["__n"] = pa.nulls(batch.num_rows, pa.int64())
-            cols["__hot"] = pa.nulls(batch.num_rows, pa.binary())
-            cols["__stat"] = pa.array(np.zeros(batch.num_rows, dtype=bool))
-            return pa.table(cols)
-
-        def tag_stats(batch: pa.Table) -> pa.Table:
-            cols = {"__k": batch[id_col].cast(id_type)}
-            for name, typ in carry.items():
-                cols[name] = pa.nulls(batch.num_rows, typ)
-            cols["__n"] = batch["n_sh"].cast(pa.int64())
-            cols["__hot"] = batch["hot_sh"].cast(pa.binary())
-            cols["__stat"] = pa.array(np.ones(batch.num_rows, dtype=bool))
-            return pa.table(cols)
-
-        unioned = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
-            stats.map_batches(tag_stats, batch_format="pyarrow")
-        )
-
-        out_cols = list(carry) + [n_out, hot_out]
-
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            prs = df[~df["__stat"]]
-            st = df[df["__stat"]]
-            if len(prs) == 0 or len(st) == 0:
-                return pd.DataFrame({c: [] for c in out_cols})
-            m = prs.drop(columns=["__n", "__hot", "__stat"]).merge(
-                st[["__k", "__n", "__hot"]], on="__k", how="inner"
-            ).rename(columns={"__n": n_out, "__hot": hot_out})
-            return m[out_cols]
-
-        return bucketize(unioned, ["__k"], num_partitions).groupby(
-            "__bucket"
-        ).map_groups(
-            lambda df: merge(df.drop(columns=["__bucket"])),
-            batch_format="pandas",
-        )
+        return fn
 
     if stats.count() <= broadcast_stats_limit:
-        stats_ref = ray.put(stats.to_pandas())
+        # small corpus: the stats table broadcast once, zero shuffles
+        parts = [b.select([id_col, "n_sh", "hot_sh"])
+                 for b in stats.iter_batches(batch_format="pyarrow", batch_size=None)
+                 if b.num_rows]
+        stats_ref = ray.put(pa.concat_tables(parts) if parts else None)
+
+        def attach_broadcast(batch: pa.Table) -> pa.Table:
+            if batch.num_rows == 0:  # empty buckets arrive schema-less
+                return pa.table({
+                    "doc_a": pa.array([], type=id_type),
+                    "doc_b": pa.array([], type=id_type),
+                    "inter_nh": pa.array([], type=pa.int64()),
+                    "n_a": pa.array([], type=pa.int64()),
+                    "hot_a": pa.array([], type=pa.binary()),
+                    "n_b": pa.array([], type=pa.int64()),
+                    "hot_b": pa.array([], type=pa.binary()),
+                })
+            s = ray.get(stats_ref)
+            return attach("doc_b")(attach("doc_a")(batch, s), s)
+
         cand = cand.map_batches(attach_broadcast, batch_format="pyarrow")
     else:
-        carry1 = {"doc_a": id_type, "doc_b": id_type, "inter_nh": pa.int64()}
-        cand = attach(cand, "doc_a", "n_a", "hot_a", carry1)
-        cand = attach(
-            cand, "doc_b", "n_b", "hot_b",
-            {**carry1, "n_a": pa.int64(), "hot_a": pa.binary()},
-        )
+        for end in ("doc_a", "doc_b"):
+            cand = cogroup(cand.materialize(), stats, [end], attach(end),
+                           num_partitions, right_on=[id_col])
 
     # --- exact Jaccard + threshold ---
     def finish(batch: pa.Table) -> pa.Table:
@@ -584,10 +541,10 @@ def exact_dedup_incremental(
     already exist in the CORPUS (the "dedup today's crawl against the
     archive" anti-join).
 
-    Scale plan: each side projects to (id, fp=md5-hex of text, side) —
-    the text itself never shuffles — then one bucketed groupby on the
+    Scale plan: each side projects to (id, fp=md5-hex of text) — the
+    text itself never shuffles — then one ``blocking.cogroup`` on the
     fingerprint co-locates equal contents; a new id survives iff its
-    bucket slice holds no corpus row with the same fp. Within-new
+    call's corpus slice holds no row with the same fp. Within-new
     duplicates are NOT collapsed (that is ``exact_dedup``'s job); the
     contract is purely new-vs-corpus. md5 is content identity here
     exactly as in DuckDB's ``md5(text)``, so the SQL oracle matches
@@ -595,30 +552,18 @@ def exact_dedup_incremental(
     """
     import hashlib
 
-    def project(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            texts = batch[text_col].to_pylist()
-            fps = [hashlib.md5((t or "").encode()).hexdigest() for t in texts]
-            n = len(texts)
-            return pa.table({
-                "id": batch[id_col],
-                "fp": pa.array(fps, type=pa.string()),
-                "side": pa.array(np.full(n, side, dtype=np.int8)),
-            })
+    def project(batch: pa.Table) -> pa.Table:
+        fps = [hashlib.md5((t or "").encode()).hexdigest()
+               for t in batch[text_col].to_pylist()]
+        return pa.table({"id": batch[id_col], "fp": pa.array(fps, type=pa.string())})
 
-        return fn
-
-    both = new_ds.map_batches(project(1), batch_format="pyarrow").union(
-        corpus_ds.map_batches(project(0), batch_format="pyarrow")
-    )
-
-    def keep_new(t: pa.Table) -> pa.Table:
-        new = pc.equal(t["side"], 1)
-        corp = t.filter(pc.invert(new))["fp"]
-        out = t.filter(pc.and_(new, pc.invert(pc.is_in(t["fp"], value_set=corp))))
+    def keep_new(new: pa.Table, corpus: pa.Table) -> pa.Table:
+        out = new.filter(pc.invert(pc.is_in(new["fp"], value_set=corpus["fp"])))
         return pa.table({id_col: out["id"]})
 
-    return bucket_map(both, ["fp"], keep_new, num_buckets)
+    return cogroup(new_ds.map_batches(project, batch_format="pyarrow"),
+                   corpus_ds.map_batches(project, batch_format="pyarrow"),
+                   ["fp"], keep_new, num_buckets)
 
 
 def minhash_lsh_dedup_incremental(

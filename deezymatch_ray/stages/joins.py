@@ -7,11 +7,10 @@ no temporal joins (it is a string-matching pipeline); this is part of
 the engine's own large-scale-pipeline surface, verified value-exact
 against DuckDB's native ``ASOF JOIN``.
 
-Physical plan: both sides union into one keyed stream (right projected
-to (key, ts), left columns null-padded on the right rows), hash-bucketed
-by key (``blocking.bucket_map``), and each key resolves all its left
+Physical plan: one ``blocking.cogroup`` on the key (the right side
+projected to (key, ts)), and each call resolves all its keys' left
 rows with ONE sorted ``searchsorted`` pass — no per-row loop, no window
-materialization. The shuffle carries each row exactly once; a hot key
+materialization. The exchange carries each row exactly once; a hot key
 still lands in one call, with all its rows.
 
 The resolve stage runs on **pyarrow** tables end-to-end: carried
@@ -34,7 +33,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from deezymatch_ray.stages.blocking import _np_rows, bucket_map
+from deezymatch_ray.stages.blocking import _np_rows, cogroup
 
 
 def asof_join_latest(
@@ -49,37 +48,10 @@ def asof_join_latest(
     """Left rows + ``out_col`` = latest right ``ts_col`` before the left
     row's (strictly when ``strict``), NaT when the key has no earlier
     right row. Right side needs only (key, ts_col)."""
-    lsch = left.schema()
-    lcols = list(lsch.names)
-    ltypes = dict(zip(lsch.names, lsch.types))
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        cols = {c: b[c] for c in lcols}
-        cols["__side"] = pa.array(np.ones(b.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {}
-        for c in lcols:
-            if c == key:
-                cols[c] = b[key].cast(ltypes[key])
-            elif c == ts_col:
-                cols[c] = b[ts_col].cast(ltypes[ts_col])
-            else:
-                cols[c] = pa.nulls(b.num_rows, ltypes[c])
-        cols["__side"] = pa.array(np.zeros(b.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    unioned = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.select_columns([key, ts_col]).map_batches(
-            tag_right, batch_format="pyarrow"
-        )
-    )
-
     side = "left" if strict else "right"
     nat = np.datetime64("NaT", "us")
 
-    def resolve(t: pa.Table) -> pa.Table:
+    def resolve(lt: pa.Table, rt: pa.Table) -> pa.Table:
         """A call holds whole hash buckets of MANY keys: resolve per key
         (vectorized searchsorted within each key's rows; Python cost is
         O(#keys)).
@@ -91,32 +63,33 @@ def asof_join_latest(
         None would otherwise make lexsort/argsort raise."""
         import pyarrow.compute as pc
 
-        sides = _np_rows(t["__side"])
-        lmask = sides == 1
-        lt = t.filter(pa.array(lmask)).drop_columns(["__side"])
         n_left = lt.num_rows
         if n_left == 0:
             return lt.append_column(
                 out_col, pa.array(np.array([], dtype="datetime64[us]"))
             )
-        nulls_all = pc.fill_null(
-            pc.or_(pc.is_null(t[key]), pc.is_null(t[ts_col])), True
-        ).to_numpy(zero_copy_only=False)
-        kcol = t[key]
-        if kcol.null_count and (
-            pa.types.is_integer(kcol.type) or pa.types.is_floating(kcol.type)
-        ):
-            # a null in a numeric key column would force to_numpy into
-            # float64 for EVERY row, colliding distinct int64 keys above
-            # 2**53; fill nulls (those rows are excluded from matching
-            # by nulls_all anyway) so valid keys keep exact dtype
-            kcol = pc.fill_null(kcol, pa.scalar(0).cast(kcol.type))
-        keys_all = _np_rows(kcol)
-        ts_all = _np_rows(t[ts_col])
-        lkeys, lts = keys_all[lmask], ts_all[lmask]
-        lnull = nulls_all[lmask]
-        rkeep = ~lmask & ~nulls_all
-        rkeys, rts = keys_all[rkeep], ts_all[rkeep]
+        rt = pa.table({key: rt[key].cast(lt[key].type),
+                       ts_col: rt[ts_col].cast(lt[ts_col].type)})
+
+        def rows(t: pa.Table):
+            """(key, ts, null) NumPy rows of one side."""
+            kcol = t[key]
+            if kcol.null_count and (
+                pa.types.is_integer(kcol.type) or pa.types.is_floating(kcol.type)
+            ):
+                # a null in a numeric key column would force to_numpy
+                # into float64 for EVERY row, colliding distinct int64
+                # keys above 2**53; fill nulls (those rows are excluded
+                # from matching) so valid keys keep exact dtype
+                kcol = pc.fill_null(kcol, pa.scalar(0).cast(kcol.type))
+            null = pc.fill_null(
+                pc.or_(pc.is_null(t[key]), pc.is_null(t[ts_col])), True
+            ).to_numpy(zero_copy_only=False)
+            return _np_rows(kcol), _np_rows(t[ts_col]), null
+
+        lkeys, lts, lnull = rows(lt)
+        rkeys, rts, rnull = rows(rt)
+        rkeys, rts = rkeys[~rnull], rts[~rnull]
         out = np.full(n_left, nat, dtype="datetime64[us]")
         lvalid = np.flatnonzero(~lnull)
         if len(rkeys) and len(lvalid):
@@ -141,4 +114,5 @@ def asof_join_latest(
                 )
         return lt.append_column(out_col, pa.array(out))
 
-    return bucket_map(unioned, [key], resolve, num_partitions)
+    return cogroup(left, right.select_columns([key, ts_col]), [key], resolve,
+                   num_partitions)

@@ -125,9 +125,9 @@ def _clusters(ds: ray.data.Dataset) -> list[tuple]:
 
 def test_scale_verify_branch_matches_driver_branch(monkeypatch):
     """Over ``DRIVER_VERIFY_LIMIT`` candidates the shingle-hash blobs
-    are hash-joined back by id; that branch keeps and rejects the same
-    candidates as the driver verify, including a band-matched pair
-    under the Jaccard threshold."""
+    are co-grouped with the pairs by id, once per end; that branch keeps
+    and rejects the same candidates as the driver verify, including a
+    band-matched pair under the Jaccard threshold."""
     from deezymatch_ray.pipelines import linkage
     from deezymatch_ray.stages.dedup import minhash_lsh_near_dup
 
@@ -136,13 +136,13 @@ def test_scale_verify_branch_matches_driver_branch(monkeypatch):
             minhash_lsh_near_dup(docs, threshold=0.0).take_all()}
     assert ("d0", "d1") in cand and ("d2", "d3") in cand
     driver = _clusters(linkage.cluster_near_dup_documents(docs))
-    joins = []
-    join = ray.data.Dataset.join
-    monkeypatch.setattr(ray.data.Dataset, "join",
-                        lambda self, *a, **k: joins.append(1) or join(self, *a, **k))
+    calls = []
+    cogroup = linkage.cogroup
+    monkeypatch.setattr(linkage, "cogroup",
+                        lambda *a, **k: calls.append(1) or cogroup(*a, **k))
     monkeypatch.setattr(linkage, "DRIVER_VERIFY_LIMIT", 0)
     scale = _clusters(linkage.cluster_near_dup_documents(docs))
-    assert len(joins) == 2
+    assert len(calls) == 2
     assert scale == driver
     m = dict(driver)
     assert m["d1"] == "d1" and m["d3"] == "d2"
@@ -263,9 +263,10 @@ def test_giant_star_component_salted_and_exact():
 def test_salting_helpers_invariants():
     """Unit pins for the skew machinery: census exactness, fact-salt
     bounds, dim replication multiplicity, and salted-join equivalence
-    with the plain join."""
+    with the plain join, both through ``cogroup``."""
     import pyarrow as pa
 
+    from deezymatch_ray.stages.blocking import cogroup, inner_join
     from deezymatch_ray.stages.clustering import (
         _hot_keys,
         _salt_dim,
@@ -299,15 +300,14 @@ def test_salting_helpers_invariants():
     assert sorted(sd.loc[sd["k"] == "h", "__salt"]) == [0, 1, 2]
     assert (sd.loc[sd["k"] != "h", "__salt"] == 0).all()
 
-    # salted join ≡ plain join (same (k, v, lab) rows)
-    plain = fact.join(dim, join_type="inner", num_partitions=2, on=("k",)
-                      ).to_pandas()
-    salted = _salt_fact(fact, "k", set(hot), R).join(
-        _salt_dim(dim, "k", set(hot), R), join_type="inner",
-        num_partitions=2, on=("k", "__salt"),
-    ).drop_columns(["__salt"]).to_pandas()
-    key = ["k", "v", "lab"]
-    assert (
-        salted[key].sort_values(key).reset_index(drop=True)
-        .equals(plain[key].sort_values(key).reset_index(drop=True))
-    )
+    # salted co-group ≡ plain co-group (same (k, v, lab) rows)
+    def rows(ds):
+        t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+        return sorted(zip(t["k"].to_pylist(), t["v"].to_pylist(), t["lab"].to_pylist()))
+
+    plain = rows(cogroup(fact, dim, ["k"], inner_join(["k"]), 8))
+    on = ["k", "__salt"]
+    salted = rows(cogroup(_salt_fact(fact, "k", set(hot), R),
+                          _salt_dim(dim, "k", set(hot), R), on, inner_join(on), 8))
+    assert salted == plain
+    assert len(plain) == 13

@@ -104,12 +104,25 @@ def test_jaccard_near_dup_with_hot_shingle_emits_every_pair():
     assert len(want) >= 4
     assert list(zip(got.doc_a, got.doc_b, got.jaccard)) == want
 
-    # the large-corpus path (reduce-side stats joins instead of the
-    # broadcast merge) must produce the identical result
+    # the large-corpus path (a stats co-group per pair end instead of
+    # the broadcast join) must produce the identical result
     got2 = dedup.jaccard_near_dup(ds, n=3, threshold=0.3, max_block=3,
                                   broadcast_stats_limit=0).to_pandas()
     got2 = got2.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert list(zip(got2.doc_a, got2.doc_b, got2.jaccard)) == want
+
+
+@pytest.mark.parametrize("limit", [2_000_000, 0], ids=["broadcast", "cogroup"])
+def test_jaccard_near_dup_null_doc_id_is_dropped_not_fatal(limit):
+    """A null ``doc_id`` matches no per-doc stats row on either attach
+    path: its pairs are dropped, the rest verify as usual."""
+    texts = ["a b c d e", "a b c d e f", "a b c d e h", "a b c d e g", "x y z w"]
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["d0", "d1", None, "d3", "d4"]), "text": texts}))
+    got = dedup.jaccard_near_dup(ds, n=3, threshold=0.3,
+                                 broadcast_stats_limit=limit).to_pandas()
+    assert not got["doc_a"].isna().any() and not got["doc_b"].isna().any()
+    assert {("d0", "d1"), ("d0", "d3"), ("d1", "d3")} == set(zip(got.doc_a, got.doc_b))
 
 
 def test_minhash_estimates_track_exact_jaccard(docs_ds):

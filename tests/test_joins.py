@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from deezymatch_ray.stages.joins import asof_join_latest
@@ -183,3 +184,50 @@ def test_asof_join_big_int_keys_with_nulls_keep_precision():
     assert pd.Timestamp(got.loc[0, "asof_ts"]) == pd.Timestamp(ts(1))
     assert pd.Timestamp(got.loc[1, "asof_ts"]) == pd.Timestamp(ts(2))
     assert pd.isna(got.loc[2, "asof_ts"])
+
+
+def _rows(ds: ray.data.Dataset, cols: list[str]) -> list[tuple]:
+    t = pa.concat_tables([b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+                          if b.num_rows]) if ds.count() else pa.table({c: [] for c in cols})
+    return sorted(zip(*(t[c].to_pylist() for c in cols)))
+
+
+def test_cogroup_inner_and_anti_edge_cases():
+    """``cogroup`` hands ``fn`` each side's slice under its own names and
+    types, also when a side is empty or a key is on one side only; its
+    inner join gives every matching pair of duplicate keys and casts an
+    int32 right key to the left's int64 (``q_nation_balance``'s case)."""
+    from deezymatch_ray.stages.blocking import cogroup, inner_join
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2, 3, 2**40], type=pa.int64()), "x": ["a", "b", "c", "d"]}))
+    right = ray.data.from_arrow(pa.table({
+        "rk": pa.array([2, 2, 3, 4], type=pa.int32()), "y": [1.0, 2.0, 3.0, 4.0]}))
+    inner = inner_join(["k"], ["rk"])
+    assert _rows(cogroup(left, right, ["k"], inner, 8, right_on=["rk"]), ["k", "x", "y"]) == [
+        (2, "b", 1.0), (2, "b", 2.0), (3, "c", 3.0)]
+
+    def anti(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.filter(pc.invert(pc.is_in(lt["k"], value_set=rt["rk"].cast(pa.int64()))))
+
+    assert _rows(cogroup(left, right, ["k"], anti, 8, right_on=["rk"]), ["k", "x"]) == [
+        (1, "a"), (2**40, "d")]
+
+    empty_left = ray.data.from_arrow(pa.table({
+        "k": pa.array([], type=pa.int64()), "x": pa.array([], type=pa.string())}))
+    empty_right = ray.data.from_arrow(pa.table({
+        "rk": pa.array([], type=pa.int32()), "y": pa.array([], type=pa.float64())}))
+    assert _rows(cogroup(empty_left, right, ["k"], inner, 8, right_on=["rk"]),
+                 ["k", "x", "y"]) == []
+    assert _rows(cogroup(left, empty_right, ["k"], inner, 8, right_on=["rk"]),
+                 ["k", "x", "y"]) == []
+    assert _rows(cogroup(left, empty_right, ["k"], anti, 8, right_on=["rk"]), ["k", "x"]) == [
+        (1, "a"), (2, "b"), (3, "c"), (2**40, "d")]
+
+    # the slices' schemas, reported through the output (fn runs in workers)
+    def schemas(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"l": [str(lt.schema)], "r": [str(rt.schema)]})
+
+    got = _rows(cogroup(left, empty_right, ["k"], schemas, 8, right_on=["rk"]), ["l", "r"])
+    assert {r for _, r in got} == {"rk: int32\ny: double"}
+    assert {lt for lt, _ in got} == {"k: int64\nx: string"}

@@ -211,3 +211,51 @@ def test_classical_gate_equals_the_full_or(pairs, jw_gate, lev_gate):
     q, c = [a for a, _ in pairs], [b for _, b in pairs]
     want = (jaro_winkler_batch(q, c) >= jw_gate) | (levenshtein_batch(q, c) <= lev_gate)
     np.testing.assert_array_equal(classical_gate(q, c, jw_gate, lev_gate), want)
+
+
+# a fresh one-CPU Ray session: the join query and distributed clustering
+# run their co-groups to completion (Ray's hash join gave no result on
+# one CPU); argv: marks dir (unused), sf dir, output parquet
+_ONE_CPU = r"""
+import sys
+import numpy as np
+import pyarrow as pa
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+import ray.data
+ray.data.DataContext.get_current().enable_progress_bars = False
+from deezymatch_ray.pipelines.analysis import q_top_customers
+from deezymatch_ray.stages.clustering import (
+    connected_components_distributed, connected_components_driver)
+
+q_top_customers(sys.argv[2]).to_parquet(sys.argv[3])
+n = 20_000
+rng = np.random.default_rng(7)
+src, dst = rng.integers(0, n, 8_000), rng.integers(0, n, 8_000)
+keep = src != dst
+edges = pa.table({"src": src[keep], "dst": dst[keep]})
+got = connected_components_distributed(
+    ray.data.from_arrow(edges),
+    nodes=ray.data.from_arrow(pa.table({"doc_id": np.arange(n)}))).to_pandas()
+want = connected_components_driver(list(zip(src[keep].tolist(), dst[keep].tolist())),
+                                   list(range(n)))
+assert dict(zip(got.doc_id.tolist(), got.cluster_id.tolist())) == want
+print(len(got), len(set(want.values())))
+"""
+
+
+def test_cogroup_sites_complete_on_one_cpu(tmp_path):
+    """On a one-CPU cluster ``q_top_customers`` returns the rows of this
+    four-CPU session, and distributed clustering of a 20,000-node graph
+    equals driver union-find."""
+    import pandas as pd
+
+    from deezymatch_ray.pipelines.analysis import q_top_customers
+    from test_entry_contract import SF
+
+    out, _ = _run(_ONE_CPU, tmp_path / "marks", SF, tmp_path / "top.parquet")
+    rows, clusters = map(int, out.split()[-2:])
+    assert rows == 20_000 and 1 < clusters < rows
+    pd.testing.assert_frame_equal(pd.read_parquet(tmp_path / "top.parquet"),
+                                  q_top_customers(SF).reset_index(drop=True))
